@@ -75,7 +75,6 @@ from .verify import (
     filter_le_oracle,
     run_suite,
     suite_names,
-    worker_count,
 )
 
 __version__ = "0.1.0"

@@ -85,7 +85,7 @@ def _cmd_gamma(args) -> int:
 def _cmd_verify(args) -> int:
     bounds = None
     if args.bound:
-        knobs = BOUND_ORDER[args.suite] if args.suite in BOUND_ORDER else ()
+        knobs = BOUND_ORDER[args.suite]
         if len(args.bound) > len(knobs):
             print(
                 f"error: suite {args.suite!r} takes at most {len(knobs)} --bound values "

@@ -5,8 +5,9 @@ and three classical checkers: primitive prime divisors of a^n - 1,
 consecutive perfect powers, and least primes in arithmetic progressions.
 
 All prime enumeration goes through one growing, odds-only numpy sieve.
-Operands are capped at MAX_OPERAND = 10**9 (the sieve at that size is
-~500 MB transient, which is the documented capacity of this module).
+Operands are capped at MAX_OPERAND = 10**9 (growing the sieve to that
+size peaks at about 1.7 GB RSS, which is the documented capacity of this
+module).
 """
 from __future__ import annotations
 

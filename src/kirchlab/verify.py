@@ -14,16 +14,11 @@ The suites run the two routes against each other over exhaustive grids and
 seeded random samples, and package the outcome as a SuiteReport.  Reports
 are deterministic for a fixed (suite, bounds, seed): the canonical JSON
 body excludes timing.
-
-Suites fan out over worker processes when KIRCHLAB_THREADS (or the CPU
-count) allows; results merge in deterministic block order.
 """
 from __future__ import annotations
 
-import os
 import random
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations, product
 
@@ -64,17 +59,6 @@ _FAILURE_CAP = 50
 
 class UnknownSuite(ValueError):
     """No verification suite is registered under that name."""
-
-
-def worker_count() -> int:
-    """Worker processes to use: KIRCHLAB_THREADS if set, else the CPU count."""
-    env = os.environ.get("KIRCHLAB_THREADS")
-    if env is not None:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ValueError(f"KIRCHLAB_THREADS must be an integer, got {env!r}")
-    return os.cpu_count() or 1
 
 
 # ---------------------------------------------------------------- oracles
@@ -255,12 +239,18 @@ def _suite_closure(bounds, rng):
     return checked, rec, []
 
 
+def _pair_grid(n):
+    # all 1 <= x < y <= n as two integer arrays, ordered by x then y
+    rows, cols = np.triu_indices(n, k=1)
+    rows += 1
+    cols += 1
+    return rows, cols
+
+
 def _suite_pairA(bounds, rng):
     n = bounds["max_value"]
     rec = _Recorder()
-    rows, cols = np.triu_indices(n, k=1)
-    X = (rows + 1).astype(np.int64)
-    Y = (cols + 1).astype(np.int64)
+    X, Y = _pair_grid(n)
     D = Y - X
     odd_ps = [int(p) for p in primes_upto(n) if p != 2]
     # factor table built through the library's factorization route
@@ -330,6 +320,15 @@ def _next_odd_primes(after: int, count: int) -> tuple:
     return tuple(out)
 
 
+def _descriptor_key(d):
+    # what the filter order reads of a descriptor: A, and Pi and alpha off 2
+    return (
+        d.A.elements,
+        tuple(p for p in d.Pi.elements if p != 2),
+        tuple((p, k) for p, k in d.alpha if p != 2),
+    )
+
+
 def _suite_order(bounds, rng):
     n = bounds["max_value"]
     sizes = tuple(bounds["sizes"])
@@ -338,12 +337,7 @@ def _suite_order(bounds, rng):
     reps = {}
     for s in sets_all:
         d = _descriptor_cached(s)
-        key = (
-            d.A.elements,
-            tuple(p for p in d.Pi.elements if p != 2),
-            tuple((p, k) for p, k in d.alpha if p != 2),
-        )
-        reps.setdefault(key, d)
+        reps.setdefault(_descriptor_key(d), d)
     rep_descs = list(reps.values())
     checked = 0
     # both routes are pure functions of the descriptor key, so the key grid
@@ -388,63 +382,24 @@ def _suite_order(bounds, rng):
     return checked, rec, findings
 
 
-def _pairs_upto(n):
-    # all 1 <= x < y <= n, ordered by y then x, as int64 arrays
-    ys = np.repeat(np.arange(2, n + 1, dtype=np.int64), np.arange(1, n, dtype=np.int64))
-    counts = np.arange(1, n, dtype=np.int64)
-    starts = np.cumsum(counts) - counts
-    xs = np.arange(len(ys), dtype=np.int64) - np.repeat(starts, counts) + 1
-    return xs, ys
-
-
-def _classify_block(args):
-    n, y_lo, y_hi = args
-    xs, ys = _pairs_upto(n)
-    lo = int(np.searchsorted(ys, y_lo))
-    hi = int(np.searchsorted(ys, y_hi))
-    X, Y = xs[lo:hi], ys[lo:hi]
-    any_odd = np.zeros(len(X), dtype=bool)
-    for p in primes_upto(int(Y[-1]) if len(Y) else 0):
-        p = int(p)
-        if p == 2:
-            continue
-        start = int(np.searchsorted(Y, p))  # x < y < p can satisfy nothing
-        rx, ry = X[start:] % p, Y[start:] % p
-        any_odd[start:] |= (rx == 0) | (ry == 0) | (rx == ry)
-    trivial = ~any_odd  # signature {2}: no odd prime qualified
-    is_pow2 = (X & (X - 1) == 0) & (Y == 2 * X)
-    mismatches = [
-        [int(X[j]), int(Y[j]), bool(is_pow2[j]), bool(trivial[j])]
-        for j in np.nonzero(trivial != is_pow2)[0]
-    ]
-    flagged = [[int(X[j]), int(Y[j])] for j in np.nonzero(trivial)[0]]
-    return y_lo, len(X), flagged, mismatches
-
-
 def _suite_classify(bounds, rng):
     n = bounds["max_value"]
     rec = _Recorder()
-    workers = worker_count()
-    blocks = []
-    if workers > 1:
-        step = max(64, n // (4 * workers))
-        edges = list(range(2, n + 1, step)) + [n + 1]
-        args = [(n, edges[i], edges[i + 1]) for i in range(len(edges) - 1)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            blocks = sorted(pool.map(_classify_block, args))
-    else:
-        blocks = [_classify_block((n, 2, n + 1))]
-    checked = 0
-    flagged = []
-    for _, count, block_flagged, mismatches in blocks:
-        checked += count
-        flagged.extend(block_flagged)
-        for x, y, want, got in mismatches:
-            rec.add([x, y], want, got)
-    flagged.sort()
+    X, Y = _pair_grid(n)
+    # residue rule by stripes: an odd prime p qualifies for {x, y} iff it
+    # divides x, y or y - x (rx == ry is p | y - x), so mark multiples once
+    odd_div = np.zeros(n + 1, dtype=bool)
+    for p in primes_upto(n)[1:]:
+        odd_div[::p] = True
+    trivial = ~(odd_div[X] | odd_div[Y] | odd_div[Y - X])  # signature {2}
+    is_pow2 = (X & (X - 1) == 0) & (Y == 2 * X)
+    for j in np.nonzero(trivial != is_pow2)[0]:
+        rec.add([int(X[j]), int(Y[j])], bool(is_pow2[j]), bool(trivial[j]))
+    checked = len(X)
+    flagged = [(int(X[j]), int(Y[j])) for j in np.nonzero(trivial)[0]]
     # scalar binding: every flagged pair, plus a random sample
-    flag_set = {tuple(f) for f in flagged}
-    sample = [tuple(f) for f in flagged]
+    flag_set = set(flagged)
+    sample = list(flagged)
     for _ in range(bounds["samples"]):
         x = rng.randint(1, n - 1)
         sample.append((x, rng.randint(x + 1, n)))
@@ -462,20 +417,12 @@ def _suite_upsets(bounds, rng):
     plist = tuple(bounds["prime_list"])
     rec = _Recorder()
     checked = 0
-
-    def key_of(d):
-        return (
-            d.A.elements,
-            tuple(p for p in d.Pi.elements if p != 2),
-            tuple((p, k) for p, k in d.alpha if p != 2),
-        )
-
     # case 1: the up-set of the filter of {p, 2p} has exactly p - 1 elements
     for p in plist:
         E = (p, 2 * p)
         up = upset_in_Fprime(E)
         checked += 1
-        ok = len(up) == p - 1 == len({key_of(d) for d in up})
+        ok = len(up) == p - 1 == len({_descriptor_key(d) for d in up})
         for d in up:
             lab = classify(d.E)
             ok = ok and lab.tag == "FPrime" and lab.p == p and filter_le(E, d.E)
@@ -505,7 +452,7 @@ def _suite_upsets(bounds, rng):
     # the ones equal to the filter of {3, 6} have an up-set disjoint from the
     # up-sets of every {r, 2r}, r != 3
     ref_keys = {
-        r: {key_of(d) for d in upset_in_Fprime((r, 2 * r))} for r in plist if r != 3
+        r: {_descriptor_key(d) for d in upset_in_Fprime((r, 2 * r))} for r in plist if r != 3
     }
     corpus = [(3, 6), (6, 12), (12, 24)] + [(r, 2 * r) for r in plist if r != 3]
     for p, q in combinations(plist, 2):
@@ -515,7 +462,7 @@ def _suite_upsets(bounds, rng):
             ).residue
             corpus.append(tuple(sorted({x, p * q, 2 * p * q})))
     for E in corpus:
-        up_keys = {key_of(d) for d in upset_in_Fprime(E)}
+        up_keys = {_descriptor_key(d) for d in upset_in_Fprime(E)}
         disjoint = all(not (up_keys & ref) for ref in ref_keys.values())
         want = filter_eq(E, (3, 6))
         checked += 1
@@ -639,6 +586,28 @@ SUITE_DEFAULTS = {
     "chains": {"max_base": 50, "max_exponent": 5},
 }
 
+# least value of each integer knob: below it a suite checks nothing, or a
+# phase has no range to draw from (order's sets need max(sizes) elements,
+# and the powers suite expects the pair 8, 9)
+MIN_BOUNDS = {
+    "closure": {"a_max": 1, "b_max": 1, "samples": 0},
+    "pairA": {"max_value": 2, "samples": 0},
+    "realize": {},
+    "order": {
+        "max_value": 3,
+        "raw_samples": 0,
+        "random_pairs": 0,
+        "random_max": 3,
+        "widen_samples": 0,
+    },
+    "classify": {"max_value": 2, "samples": 0},
+    "upsets": {"instances": 0},
+    "gamma": {"bound": 1, "grid": 1},
+    "zsigmondy": {"max_base": 2, "max_exponent": 2},
+    "powers": {"limit": 9},
+    "chains": {"max_base": 2, "max_exponent": 1},
+}
+
 # order in which bare `--bound` integers fill a suite's knobs
 BOUND_ORDER = {
     "closure": ("a_max", "b_max"),
@@ -675,8 +644,9 @@ def run_suite(name: str, bounds: dict = None, seed: int = 0) -> SuiteReport:
     """Run one registered suite and return its report.
 
     bounds overrides a subset of the suite's default knobs (unknown keys
-    are rejected); seed drives every randomized phase, making the report
-    body reproducible.
+    are rejected, and so is an integer knob below its MIN_BOUNDS entry);
+    seed drives every randomized phase, making the report body
+    reproducible.  A run that checks nothing is an error, never a pass.
     """
     if name not in _SUITES:
         raise UnknownSuite(f"unknown suite {name!r}; expected one of {', '.join(_SUITES)}")
@@ -686,10 +656,15 @@ def run_suite(name: str, bounds: dict = None, seed: int = 0) -> SuiteReport:
         if unknown:
             raise ValueError(f"unknown bounds for suite {name}: {sorted(unknown)}")
         cfg.update(bounds)
+    for knob, least in MIN_BOUNDS[name].items():
+        if cfg[knob] < least:
+            raise ValueError(f"suite {name}: {knob} must be at least {least}, got {cfg[knob]}")
     rng = random.Random(seed)
     t0 = time.perf_counter()
     checked, rec, findings = _SUITES[name](cfg, rng)
     elapsed = time.perf_counter() - t0
+    if checked == 0:
+        raise ValueError(f"suite {name}: bounds {cfg} leave no instance to check")
     return SuiteReport(
         suite_name=name,
         bounds=cfg,

@@ -59,7 +59,12 @@ def test_criterion_05_doubleton_scan_finds_only_power_pairs():
     (finding,) = r.findings
     expected = [[2**n, 2 ** (n + 1)] for n in range(12)]  # 1..2 up to 2048..4096
     assert finding["trivial_signature_pairs"] == expected
-    _ok(5, f"FInfinity doubletons below 4096 are exactly the {len(expected)} power pairs")
+    assert r.elapsed < 5.0, f"{r.elapsed:.2f}s"
+    _ok(
+        5,
+        f"FInfinity doubletons below 4096 are exactly the {len(expected)} power pairs, "
+        f"{r.elapsed:.2f}s",
+    )
 
 
 def test_criterion_06_upset_cardinalities():

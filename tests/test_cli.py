@@ -5,6 +5,8 @@ import random
 import subprocess
 import sys
 
+import pytest
+
 from kirchlab import descriptor
 
 CMD = [sys.executable, "-m", "kirchlab"]
@@ -145,6 +147,24 @@ def test_verify_exit_status_and_report():
 def test_verify_bound_arity_checked():
     r = run_cli("verify", "powers", "--bound", 10, 20)
     assert r.returncode == 2
+
+
+@pytest.mark.parametrize(
+    "suite, bound, knob",
+    [
+        ("pairA", (1,), "max_value"),
+        ("classify", (1,), "max_value"),
+        ("order", (1,), "max_value"),
+        ("zsigmondy", (1, 1), "max_base"),
+        ("chains", (1, 1), "max_base"),
+    ],
+)
+def test_verify_bound_below_minimum_is_a_domain_error(suite, bound, knob):
+    r = run_cli("verify", suite, "--bound", *bound)
+    assert r.returncode == 1
+    assert r.stdout == ""
+    assert knob in r.stderr
+    assert "randrange" not in r.stderr and "Sample larger" not in r.stderr
 
 
 def test_verify_unknown_suite_is_usage_error():

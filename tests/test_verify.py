@@ -19,7 +19,6 @@ from kirchlab import (
     intersect,
     run_suite,
     suite_names,
-    worker_count,
 )
 
 
@@ -159,6 +158,18 @@ def test_unknown_bound_keys_are_rejected():
         run_suite("closure", bounds={"wat": 3})
 
 
+def test_bounds_below_their_minimum_are_rejected():
+    with pytest.raises(ValueError, match="max_exponent must be at least 2"):
+        run_suite("zsigmondy", bounds={"max_exponent": 1})
+    with pytest.raises(ValueError, match="limit must be at least 9"):
+        run_suite("powers", bounds={"limit": 8})
+
+
+def test_a_suite_that_checks_nothing_is_an_error():
+    with pytest.raises(ValueError, match="no instance to check"):
+        run_suite("gamma", bounds={"prime_list": ()})
+
+
 def test_small_closure_suite_passes():
     report = run_suite("closure", bounds={"a_max": 40, "b_max": 40, "samples": 200}, seed=5)
     assert isinstance(report, SuiteReport)
@@ -215,20 +226,7 @@ def test_chains_suite_small():
     )
 
 
-def test_worker_count_env_override(monkeypatch):
-    monkeypatch.setenv("KIRCHLAB_THREADS", "2")
-    assert worker_count() == 2
-    monkeypatch.setenv("KIRCHLAB_THREADS", "0")
-    assert worker_count() == 1
-    monkeypatch.setenv("KIRCHLAB_THREADS", "abc")
-    with pytest.raises(ValueError):
-        worker_count()
-    monkeypatch.delenv("KIRCHLAB_THREADS")
-    assert worker_count() >= 1
-
-
-def test_classify_suite_parallel_path(monkeypatch):
-    monkeypatch.setenv("KIRCHLAB_THREADS", "2")
+def test_classify_suite_small():
     report = run_suite("classify", bounds={"max_value": 300, "samples": 40}, seed=3)
     assert report.passed
     (finding,) = report.findings
