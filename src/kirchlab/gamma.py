@@ -2,12 +2,16 @@
 
 For an odd prime p the vertices are 2^a * p^b with a >= 0, b >= 1, and two
 vertices x != y are adjacent when the doubleton {x, y} has signature primes
-exactly {2, p} — equivalently, when every prime divisor of |x - y| lies in
-{2, p}.  For p = 2 the graph is the chain on the powers of two.
+exactly {2, p}.  The signature of a doubleton is
+{2} | primes(x) | primes(y) | primes(|x - y|), and on these vertices
+primes(x) and primes(y) are {p} or {2, p}; so the signature is
+{2, p} | primes(|x - y|), and x, y are adjacent exactly when |x - y| is
+{2, p}-smooth.  For p = 2 the graph is the chain on the powers of two.
 
 Edges are produced by two independent routes:
 
-* edges_by_definition — test the signature condition on every vertex pair;
+* edges_by_definition — test every vertex pair: strip the factors 2 and p
+  from |x - y| and keep the pair when 1 remains;
 * edges_closed_form   — enumerate the finitely many solution families of
   2^s - p^t = +-1 (only consecutive-power coincidences can make |x - y|
   smooth), which depend only on the shape of p relative to the powers of 2:
@@ -35,7 +39,6 @@ from itertools import combinations
 from typing import Optional
 
 from .numtheory import NotPrime, PrimeType, classify_prime, is_prime
-from .filters import pair_A
 
 
 class NotAVertex(ValueError):
@@ -122,14 +125,23 @@ def _families(p: int) -> tuple:
 
 
 def edges_by_definition(p: int, bound: int) -> tuple:
-    """Edges among vertices <= bound, by testing the signature of each pair."""
+    """Edges among vertices <= bound, by testing the definition on each pair.
+
+    A pair x < y is an edge iff its signature is {2, p}, that is (module
+    docstring) iff y - x has no prime factor outside {2, p}: dividing out
+    every 2 and every p must leave 1.  No factorization is needed.
+    """
     p = _check_odd_prime(p)
-    target = (2, p)
     out = []
     for x, y in combinations(vertices(p, bound), 2):
-        if pair_A(x, y).elements == target:
+        d = y - x
+        while d % 2 == 0:
+            d //= 2
+        while d % p == 0:
+            d //= p
+        if d == 1:
             out.append((x, y))
-    return tuple(sorted(out))
+    return tuple(out)  # pairs of the ascending vertices come out sorted
 
 
 def edges_closed_form(p: int, bound: int) -> tuple:

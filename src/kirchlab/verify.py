@@ -55,6 +55,7 @@ from .filters import (
 from .gamma import degree_infinite, edges_by_definition, edges_closed_form, vertices
 
 _FAILURE_CAP = 50
+_GAMMA_NON_EDGE_SAMPLES = 200  # non-edge pairs per prime bound to pair_A
 
 
 class UnknownSuite(ValueError):
@@ -488,6 +489,16 @@ def _suite_gamma(bounds, rng):
         for x, y in sorted(closed - by_def):
             rec.add([p, x, y], "non-edge (definition)", "edge (closed form)")
         findings.append({"p": p, "vertices": len(verts), "edges": len(by_def)})
+        # bind the smoothness test to the signature route: every definition
+        # edge, and a seeded sample of non-edges, goes through pair_A
+        non_edges = [e for e in combinations(verts, 2) if e not in by_def]
+        sample = rng.sample(non_edges, min(_GAMMA_NON_EDGE_SAMPLES, len(non_edges)))
+        for x, y in sorted(by_def) + sample:
+            edge = (x, y) in by_def
+            signature = pair_A(x, y).elements
+            checked += 1
+            if (signature == (2, p)) != edge:
+                rec.add([p, x, y], {"signature": list(signature)}, "edge" if edge else "non-edge")
     # infinite-graph degrees against the classified fingerprints
     for p in plist:
         tag = classify_prime(p).tag
@@ -587,19 +598,14 @@ SUITE_DEFAULTS = {
 }
 
 # least value of each integer knob: below it a suite checks nothing, or a
-# phase has no range to draw from (order's sets need max(sizes) elements,
-# and the powers suite expects the pair 8, 9)
+# phase has no range to draw from (the powers suite expects the pair 8, 9;
+# order's max_value and random_max are at least max(sizes), see
+# _tuple_knob_minimums)
 MIN_BOUNDS = {
     "closure": {"a_max": 1, "b_max": 1, "samples": 0},
     "pairA": {"max_value": 2, "samples": 0},
     "realize": {},
-    "order": {
-        "max_value": 3,
-        "raw_samples": 0,
-        "random_pairs": 0,
-        "random_max": 3,
-        "widen_samples": 0,
-    },
+    "order": {"raw_samples": 0, "random_pairs": 0, "widen_samples": 0},
     "classify": {"max_value": 2, "samples": 0},
     "upsets": {"instances": 0},
     "gamma": {"bound": 1, "grid": 1},
@@ -607,6 +613,30 @@ MIN_BOUNDS = {
     "powers": {"limit": 9},
     "chains": {"max_base": 2, "max_exponent": 1},
 }
+
+# the prime-tuple knobs, and whether 2 may appear in them
+_PRIME_KNOBS = {
+    "realize": ("prime_pool", True),
+    "upsets": ("prime_list", False),
+    "gamma": ("prime_list", False),
+}
+
+
+def _tuple_knob_minimums(name: str, cfg: dict) -> dict:
+    # validate the tuple knobs; return the integer-knob minimums they imply
+    if name == "order":
+        sizes = tuple(cfg["sizes"])
+        if not sizes or min(sizes) < 2:
+            raise ValueError(f"suite order: sizes must be nonempty, each at least 2, got {sizes}")
+        return {"max_value": max(sizes), "random_max": max(sizes)}
+    if name in _PRIME_KNOBS:
+        knob, two_allowed = _PRIME_KNOBS[name]
+        ps = tuple(cfg[knob])
+        if len(set(ps)) != len(ps) or not all(is_prime(p) and (two_allowed or p != 2) for p in ps):
+            kind = "primes" if two_allowed else "odd primes"
+            raise ValueError(f"suite {name}: {knob} must hold distinct {kind}, got {ps}")
+    return {}
+
 
 # order in which bare `--bound` integers fill a suite's knobs
 BOUND_ORDER = {
@@ -644,7 +674,8 @@ def run_suite(name: str, bounds: dict = None, seed: int = 0) -> SuiteReport:
     """Run one registered suite and return its report.
 
     bounds overrides a subset of the suite's default knobs (unknown keys
-    are rejected, and so is an integer knob below its MIN_BOUNDS entry);
+    are rejected, and so is a malformed tuple knob, or an integer knob below
+    its MIN_BOUNDS entry or the minimum a tuple knob implies);
     seed drives every randomized phase, making the report body
     reproducible.  A run that checks nothing is an error, never a pass.
     """
@@ -656,7 +687,8 @@ def run_suite(name: str, bounds: dict = None, seed: int = 0) -> SuiteReport:
         if unknown:
             raise ValueError(f"unknown bounds for suite {name}: {sorted(unknown)}")
         cfg.update(bounds)
-    for knob, least in MIN_BOUNDS[name].items():
+    minimums = {**MIN_BOUNDS[name], **_tuple_knob_minimums(name, cfg)}
+    for knob, least in minimums.items():
         if cfg[knob] < least:
             raise ValueError(f"suite {name}: {knob} must be at least {least}, got {cfg[knob]}")
     rng = random.Random(seed)

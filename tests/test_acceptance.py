@@ -80,7 +80,7 @@ def test_criterion_07_gamma_closed_form_equals_definition():
     assert tuple(r.bounds["prime_list"]) == (3, 5, 7, 11, 13, 17, 31)
     assert r.bounds["bound"] == 10**6
     assert r.passed, r.failures[:3]
-    assert r.elapsed < 120.0, f"{r.elapsed:.2f}s"
+    assert r.elapsed < 5.0, f"{r.elapsed:.2f}s"
     edge_count = sum(f["edges"] for f in r.findings)
     _ok(7, f"closed-form == definitional edges to 10^6 ({edge_count} edges), {r.elapsed:.2f}s")
 

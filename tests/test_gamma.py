@@ -1,5 +1,7 @@
 """Tests for the multiplicative-connection graphs on 2^a * p^b vertices."""
 
+from itertools import combinations
+
 import pytest
 
 from kirchlab import (
@@ -57,10 +59,22 @@ def test_every_definition_edge_has_the_right_signature():
             assert pair_A(x, y).elements == (2, p)
 
 
+def test_definition_edges_are_exactly_the_pairs_with_signature_two_and_p():
+    for p in (3, 5, 11):
+        edges = set(edges_by_definition(p, 2000))
+        for x, y in combinations(vertices(p, 2000), 2):
+            assert (pair_A(x, y).elements == (2, p)) == ((x, y) in edges), (p, x, y)
+
+
 def test_closed_form_matches_definition_on_small_bounds():
     for p in (3, 5, 7, 11, 13, 17, 31):
         for bound in (10, 100, 3000):
             assert edges_closed_form(p, bound) == edges_by_definition(p, bound), (p, bound)
+
+
+def test_closed_form_matches_definition_up_to_the_operand_cap():
+    for p in (3, 5, 7, 17, 31, 127, 257):
+        assert edges_closed_form(p, 10**9) == edges_by_definition(p, 10**9), p
 
 
 def test_closed_form_spotlight_edges():

@@ -165,6 +165,31 @@ def test_bounds_below_their_minimum_are_rejected():
         run_suite("powers", bounds={"limit": 8})
 
 
+@pytest.mark.parametrize(
+    "name, bounds, message",
+    [
+        ("order", {"sizes": (4,), "max_value": 3}, "max_value must be at least 4"),
+        ("order", {"sizes": (1, 2)}, "sizes must be nonempty, each at least 2"),
+        ("order", {"sizes": ()}, "sizes must be nonempty, each at least 2"),
+        ("realize", {"prime_pool": (4, 6)}, "prime_pool must hold distinct primes"),
+        ("upsets", {"prime_list": (4,)}, "prime_list must hold distinct odd primes"),
+        ("gamma", {"prime_list": (2,)}, "prime_list must hold distinct odd primes"),
+    ],
+)
+def test_malformed_tuple_knobs_are_rejected_by_name(name, bounds, message):
+    with pytest.raises(ValueError, match=message) as info:
+        run_suite(name, bounds=bounds)
+    assert type(info.value) is ValueError
+
+
+def test_order_minimums_follow_the_largest_size():
+    bounds = {"sizes": (2,), "max_value": 2, "random_max": 2}
+    bounds.update(raw_samples=5, random_pairs=5, widen_samples=5)
+    report = run_suite("order", bounds=bounds)
+    assert report.passed
+    assert report.findings == ({"distinct_descriptors": 1},)
+
+
 def test_a_suite_that_checks_nothing_is_an_error():
     with pytest.raises(ValueError, match="no instance to check"):
         run_suite("gamma", bounds={"prime_list": ()})
