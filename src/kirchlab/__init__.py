@@ -26,13 +26,11 @@ from .numtheory import (
     zsigmondy_inclusion,
 )
 from .progressions import (
-    EMPTY,
     CongruenceSet,
     Progression,
     closure,
     intersect,
     kirch_basic_open,
-    members,
     progressions_intersect,
 )
 from .filters import (

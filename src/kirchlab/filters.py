@@ -32,6 +32,7 @@ from .numtheory import (
     Congruence,
     PrimeSet,
     crt_solve,
+    is_prime,
     prime_factors,
     primes_upto,
 )
@@ -58,6 +59,9 @@ class Overflow(ValueError):
     """The computation would exceed the documented operand capacity."""
 
 
+MAX_UPSET_PRIME = 10**4  # largest p whose case-1 up-set (p - 1 descriptors) is listed
+
+
 class _AllPrimes:
     """Sentinel for 'every prime qualifies' (singleton descriptors)."""
 
@@ -69,8 +73,6 @@ class _AllPrimes:
         return cls._instance
 
     def __contains__(self, p) -> bool:
-        from .numtheory import is_prime
-
         return is_prime(int(p))
 
     def __repr__(self) -> str:
@@ -321,7 +323,8 @@ def upset_in_Fprime(E: Iterable[int]) -> tuple:
     Case 1 (A = {2,p}, p | E): the p-1 filters of {a, p, 2p}, a = 1..p-1.
     Case 2 (A = {2,p,q}): exactly two, {x, p, 2p} and {x, q, 2q}, where x
     is the least positive integer with x odd, x = alpha(p) mod p and
-    x = alpha(q) mod q.  Raises WrongClass unless E is FDoublePrime.
+    x = alpha(q) mod q.  Raises WrongClass unless E is FDoublePrime, and
+    Overflow for a case-1 p above MAX_UPSET_PRIME.
     """
     elems = _element_tuple(E)
     label = classify(elems)
@@ -329,6 +332,8 @@ def upset_in_Fprime(E: Iterable[int]) -> tuple:
         raise WrongClass(f"up-set enumeration applies to FDoublePrime only, got {label.tag}")
     if label.case == 1:
         p = label.p
+        if p > MAX_UPSET_PRIME:
+            raise Overflow(f"case-1 up-set: p capped at {MAX_UPSET_PRIME}, got {p}")
         return tuple(descriptor((a, p, 2 * p)) for a in range(1, p))
     p, q = label.p, label.q
     am = _descriptor_cached(elems).alpha_map

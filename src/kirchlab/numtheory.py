@@ -127,25 +127,11 @@ class PrimeSet:
     def __or__(self, other: "PrimeSet") -> "PrimeSet":
         return PrimeSet.of(set(self.elements) | set(other.elements))
 
-    def __and__(self, other: "PrimeSet") -> "PrimeSet":
-        return PrimeSet.of(set(self.elements) & set(other.elements))
-
-    def __sub__(self, other: "PrimeSet") -> "PrimeSet":
-        return PrimeSet.of(set(self.elements) - set(other.elements))
-
     def issubset(self, other: "PrimeSet") -> bool:
         return set(self.elements) <= set(other.elements)
 
-    __le__ = issubset
-
-    def as_set(self) -> frozenset:
-        return frozenset(self.elements)
-
     def __repr__(self) -> str:
         return f"PrimeSet({{{', '.join(map(str, self.elements))}}})"
-
-
-EMPTY_PRIMES = PrimeSet(())
 
 
 @lru_cache(maxsize=1 << 16)
@@ -208,9 +194,6 @@ class Congruence:
             raise ValueError("modulus must be positive")
         if not 0 <= self.residue < self.modulus:
             raise ValueError("residue must lie in [0, modulus)")
-
-    def contains(self, z: int) -> bool:
-        return z % self.modulus == self.residue
 
 
 def crt_solve(congruences: Iterable[Congruence]) -> Congruence:

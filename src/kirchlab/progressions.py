@@ -11,8 +11,11 @@ per-prime conditions, one for each prime divisor p of b:
 CongruenceSet is the normal form for such cut-out sets: a set of forced
 prime divisors plus a map p -> k of two-class constraints (0 < k < p).
 Since every constraint allows residue 0, a CongruenceSet always contains
-the product of its primes — it is never empty.  The EMPTY singleton is
-nevertheless available as an explicit bottom for the intersection lattice.
+the product of its primes — it is never empty, and neither is the
+intersection of two of them.
+
+Member listings are capped: a window [lo, hi] must end at or below
+MAX_OPERAND = 10**9 and hold at most MAX_WINDOW = 10**6 values.
 """
 from __future__ import annotations
 
@@ -20,7 +23,9 @@ import math
 from dataclasses import dataclass, field
 from functools import reduce
 
-from .numtheory import is_prime, is_square_free, prime_factors
+from .numtheory import MAX_OPERAND, is_prime, is_square_free, prime_factors
+
+MAX_WINDOW = 10**6  # most values one members() call lists
 
 
 @dataclass(frozen=True)
@@ -59,40 +64,6 @@ def progressions_intersect(p1: Progression, p2: Progression) -> bool:
     return (p1.a - p2.a) % math.gcd(p1.b, p2.b) == 0
 
 
-class _EmptySet:
-    """The empty set of integers, as a first-class intersection result."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    @property
-    def is_empty(self) -> bool:
-        return True
-
-    def contains(self, z: int) -> bool:
-        return False
-
-    __contains__ = contains
-
-    def members(self, lo: int, hi: int) -> list:
-        if lo < 1 or lo > hi:
-            raise ValueError("need 1 <= lo <= hi")
-        return []
-
-    def to_json_dict(self) -> dict:
-        return {"empty": True}
-
-    def __repr__(self) -> str:
-        return "EMPTY"
-
-
-EMPTY = _EmptySet()
-
-
 @dataclass(frozen=True)
 class CongruenceSet:
     """{z : p | z for forced p} intersect {z : z mod p in {0, k}} over constraints.
@@ -128,10 +99,6 @@ class CongruenceSet:
                 raise ValueError(f"two-class residue must satisfy 0 < k < p, got {k} mod {p}")
         object.__setattr__(self, "_two_map", dict(pairs))
 
-    @property
-    def is_empty(self) -> bool:
-        return False
-
     def primes_mentioned(self) -> tuple:
         return tuple(sorted(self.forced_divisors + tuple(self._two_map)))
 
@@ -162,10 +129,18 @@ class CongruenceSet:
     __contains__ = contains
 
     def members(self, lo: int, hi: int) -> list:
-        """All members in the window [lo, hi], ascending."""
+        """All members in the window [lo, hi], ascending.
+
+        Raises ValueError unless 1 <= lo <= hi <= MAX_OPERAND and the
+        window holds at most MAX_WINDOW values.
+        """
         lo, hi = int(lo), int(hi)
         if lo < 1 or lo > hi:
             raise ValueError("need 1 <= lo <= hi")
+        if hi > MAX_OPERAND:
+            raise ValueError(f"window end capped at {MAX_OPERAND}, got {hi}")
+        if hi - lo + 1 > MAX_WINDOW:
+            raise ValueError(f"window capped at {MAX_WINDOW} values, got {hi - lo + 1}")
         return [z for z in range(lo, hi + 1) if self.contains(z)]
 
     def to_json_dict(self) -> dict:
@@ -195,28 +170,19 @@ def closure(a: int, b: int) -> CongruenceSet:
     return CongruenceSet(tuple(forced), tuple(two_class))
 
 
-def members(s, lo: int, hi: int) -> list:
-    """Members of a CongruenceSet (or EMPTY) in the window [lo, hi]."""
-    return s.members(lo, hi)
-
-
-def intersect(s1, s2):
+def intersect(s1: CongruenceSet, s2: CongruenceSet) -> CongruenceSet:
     """Intersection of two congruence sets, again in normal form.
 
-    The per-prime allowed-residue sets are intersected; since residue 0
-    is allowed everywhere the meet is never empty, but an EMPTY operand
-    (or an inconsistent meet, unreachable from valid inputs) yields EMPTY.
+    The per-prime allowed-residue sets are intersected.  Each of them
+    holds residue 0, so every meet does too: the intersection is never
+    empty, as it contains the product of the primes of both sets.
     """
-    if s1.is_empty or s2.is_empty:
-        return EMPTY
     forced = []
     two_class = []
     for p in sorted(set(s1.primes_mentioned()) | set(s2.primes_mentioned())):
         r1 = s1.allowed_residues(p)
         r2 = s2.allowed_residues(p)
         meet = set(r1 if r2 is None else r2 if r1 is None else set(r1) & set(r2))
-        if not meet:
-            return EMPTY
         if meet == {0}:
             forced.append(p)
         else:

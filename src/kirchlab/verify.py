@@ -91,10 +91,6 @@ def congruence_set_subset(s1, s2) -> bool:
     sets (all residues at unmentioned primes), so containment holds iff at
     every prime mentioned by s2 the residues achieved by s1 are allowed.
     """
-    if s1.is_empty:
-        return True
-    if s2.is_empty:
-        return False
     for p in s2.primes_mentioned():
         allowed = set(s2.allowed_residues(p))
         got = s1.allowed_residues(p)
@@ -614,6 +610,13 @@ MIN_BOUNDS = {
     "chains": {"max_base": 2, "max_exponent": 1},
 }
 
+# greatest value of each pair-grid knob: the grid holds max_value^2 / 2 pairs
+# as several numpy arrays (classify at 8192 peaks near 900 MB RSS)
+MAX_BOUNDS = {
+    "pairA": {"max_value": 1000},
+    "classify": {"max_value": 8192},
+}
+
 # the prime-tuple knobs, and whether 2 may appear in them
 _PRIME_KNOBS = {
     "realize": ("prime_pool", True),
@@ -674,8 +677,9 @@ def run_suite(name: str, bounds: dict = None, seed: int = 0) -> SuiteReport:
     """Run one registered suite and return its report.
 
     bounds overrides a subset of the suite's default knobs (unknown keys
-    are rejected, and so is a malformed tuple knob, or an integer knob below
-    its MIN_BOUNDS entry or the minimum a tuple knob implies);
+    are rejected, and so is a malformed tuple knob, an integer knob below
+    its MIN_BOUNDS entry or the minimum a tuple knob implies, or a pair-grid
+    knob above its MAX_BOUNDS entry);
     seed drives every randomized phase, making the report body
     reproducible.  A run that checks nothing is an error, never a pass.
     """
@@ -688,9 +692,14 @@ def run_suite(name: str, bounds: dict = None, seed: int = 0) -> SuiteReport:
             raise ValueError(f"unknown bounds for suite {name}: {sorted(unknown)}")
         cfg.update(bounds)
     minimums = {**MIN_BOUNDS[name], **_tuple_knob_minimums(name, cfg)}
+    maximums = MAX_BOUNDS.get(name, {})
     for knob, least in minimums.items():
         if cfg[knob] < least:
             raise ValueError(f"suite {name}: {knob} must be at least {least}, got {cfg[knob]}")
+        if knob in maximums and cfg[knob] > maximums[knob]:
+            raise ValueError(
+                f"suite {name}: {knob} must be at most {maximums[knob]}, got {cfg[knob]}"
+            )
     rng = random.Random(seed)
     t0 = time.perf_counter()
     checked, rec, findings = _SUITES[name](cfg, rng)

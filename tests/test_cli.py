@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface (subprocess level)."""
 
+import hashlib
 import json
 import random
 import subprocess
@@ -167,6 +168,24 @@ def test_verify_bound_below_minimum_is_a_domain_error(suite, bound, knob):
     assert "randrange" not in r.stderr and "Sample larger" not in r.stderr
 
 
+@pytest.mark.parametrize(
+    "argv, cap",
+    [
+        (("closure", 7, 30, "--window", 1, 1000001), "window capped at 1000000 values"),
+        (("closure", 7, 30, "--window", 10**12, 10**12 + 10), "window end capped at 1000000000"),
+        (("upset", 10007, 20014), "p capped at 10000"),
+        (("verify", "classify", "--bound", 8193), "max_value must be at most 8192"),
+        (("verify", "pairA", "--bound", 1001), "max_value must be at most 1000"),
+    ],
+)
+def test_argv_just_over_a_cap_is_a_domain_error(argv, cap):
+    r = run_cli(*argv, timeout=60)
+    assert r.returncode == 1
+    assert r.stdout == ""
+    assert cap in r.stderr
+    assert "Traceback" not in r.stderr
+
+
 def test_verify_unknown_suite_is_usage_error():
     r = run_cli("verify", "nonsense")
     assert r.returncode == 2
@@ -189,3 +208,42 @@ def test_usage_errors():
     assert run_cli().returncode == 2
     assert run_cli("frobnicate").returncode == 2
     assert run_cli("closure", 0, 6).returncode == 2
+
+
+# sha256 of stdout for a fixed argv corpus (every subcommand), recorded before
+# the removal of the empty congruence set; a simplification must keep each one
+GOLDEN_STDOUT = {
+    ("closure", "5", "6"):
+        "79a371f6a3337b6d0f3561ba83305ff0a4120258cedf1b3b3657baafa59543b8",
+    ("closure", "7", "30", "--window", "100", "200"):
+        "7c4aa2ece048576673ddcbfe8eca1d412fad5b87136c4b3a8ee7d9f05977d98d",
+    ("filter", "7", "15", "30"):
+        "545adb58ddb2facabd908ee2203b1f87b48e195d06cd42b37d9a848fa077ac13",
+    ("filter", "12"):
+        "f77c73a122a3e034e09a2d0045e521e2471312c2eb154d785025bc8a98888bf9",
+    ("classify", "1", "3", "6"):
+        "8fc62c5806a24fe02d0c52db387cd4c295cbca66300e77d47d3c2f7717a1d677",
+    ("upset", "5", "10"):
+        "ec06890936284287b52ac148f29a76b05e49e03f1b715b97e2171a6dcc696940",
+    ("upset", "1", "15", "30"):
+        "e72c026cf66908710fceccefc6ca6c63c4cf1a814bce993d2e3c2cd80c47d0a0",
+    ("realize", "--primes", "2,3,5", "--alpha", "1,2,0"):
+        "228b61e6df35a206926e97a6e9e9aac8476f6f8183db2f817e6c7146cd6c3949",
+    ("gamma", "3", "--bound", "200", "--format", "dot"):
+        "53c26e8a53833e33ceced4aded871de454379015149b31e5b55f9dee1b831e02",
+    ("gamma", "5", "--bound", "500", "--format", "json"):
+        "008c9a1624e7f25d265abbee7c896d4e4bf0ff24342e0f51d9f6335a35f148cb",
+    ("verify", "order", "--bound", "12", "40", "--seed", "3"):
+        "975894e99dd1f147e2f155f72fc4a3e17b56212edffefee270fe2dcaa6be26a0",
+    ("primes", "classify", "257"):
+        "f0e3a3eca505c46c50c8db994d8e7c022824e0bd40bdcfa71673579b02552227",
+    ("cmp", "1", "121", "--", "1", "11"):
+        "e9967e79b22d7d4b0ed0e6243c90455f08769f9e61cca32ca7a1f78588866991",
+}
+
+
+@pytest.mark.parametrize("argv", list(GOLDEN_STDOUT), ids=" ".join)
+def test_stdout_matches_the_golden_digest(argv):
+    r = run_cli(*argv)
+    assert r.returncode == 0
+    assert hashlib.sha256(r.stdout.encode()).hexdigest() == GOLDEN_STDOUT[argv]

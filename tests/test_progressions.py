@@ -5,15 +5,15 @@ import math
 import pytest
 
 from kirchlab import (
-    EMPTY,
     CongruenceSet,
     Progression,
     closure,
     intersect,
     kirch_basic_open,
-    members,
     progressions_intersect,
 )
+from kirchlab.numtheory import MAX_OPERAND
+from kirchlab.progressions import MAX_WINDOW
 
 
 def test_progression_membership():
@@ -55,7 +55,7 @@ def test_closure_examples():
     c = closure(5, 6)
     assert c.forced_divisors == ()
     assert c.two_class_constraints == ((3, 2),)
-    assert members(c, 1, 12) == [2, 3, 5, 6, 8, 9, 11, 12]
+    assert c.members(1, 12) == [2, 3, 5, 6, 8, 9, 11, 12]
 
     c = closure(4, 15)
     assert c.forced_divisors == ()
@@ -64,7 +64,7 @@ def test_closure_examples():
     c = closure(15, 2)
     assert c.forced_divisors == ()
     assert c.two_class_constraints == ()
-    assert members(c, 1, 6) == [1, 2, 3, 4, 5, 6]  # closure of an odd progression is everything
+    assert c.members(1, 6) == [1, 2, 3, 4, 5, 6]  # closure of an odd progression is everything
 
     c = closure(10, 21)
     assert dict(c.two_class_constraints) == {3: 1, 7: 3}
@@ -91,7 +91,7 @@ def test_congruence_set_period_and_membership():
     s = CongruenceSet(forced_divisors=(3,), two_class_constraints=((5, 1),))
     assert s.period == 15
     listed = [z for z in range(1, 31) if z in s]
-    assert listed == members(s, 1, 30)
+    assert listed == s.members(1, 30)
     assert all((z % 3 == 0) and (z % 5 in (0, 1)) for z in listed)
 
 
@@ -109,6 +109,16 @@ def test_congruence_set_validation():
         s.members(0, 5)
     with pytest.raises(ValueError):
         s.members(7, 3)
+
+
+def test_members_window_is_capped():
+    everything = CongruenceSet()
+    top = everything.members(MAX_OPERAND - MAX_WINDOW + 1, MAX_OPERAND)
+    assert len(top) == MAX_WINDOW and top[-1] == MAX_OPERAND
+    with pytest.raises(ValueError, match=f"window capped at {MAX_WINDOW} values"):
+        everything.members(1, MAX_WINDOW + 1)
+    with pytest.raises(ValueError, match=f"window end capped at {MAX_OPERAND}"):
+        everything.members(MAX_OPERAND, MAX_OPERAND + 1)
 
 
 def test_allowed_residues():
@@ -132,11 +142,8 @@ def test_intersect_agrees_with_pointwise_intersection():
         s1, s2 = closure(a1, b1), closure(a2, b2)
         both = intersect(s1, s2)
         hi = s1.period * s2.period
-        want = sorted(set(members(s1, 1, hi)) & set(members(s2, 1, hi)))
-        if both is EMPTY:
-            assert want == []
-        else:
-            assert members(both, 1, hi) == want
+        want = sorted(set(s1.members(1, hi)) & set(s2.members(1, hi)))
+        assert both.members(1, hi) == want
 
 
 def test_intersect_conflicting_residues_is_empty():
@@ -147,13 +154,6 @@ def test_intersect_conflicting_residues_is_empty():
     assert out.forced_divisors == (5,)
     s3 = CongruenceSet(forced_divisors=(3,), two_class_constraints=())
     assert intersect(s1, s3).period == 15
-
-
-def test_empty_sentinel_behaviour():
-    assert EMPTY.is_empty
-    assert 7 not in EMPTY
-    assert EMPTY.members(1, 100) == []
-    assert EMPTY.to_json_dict() == {"empty": True}
 
 
 def test_json_shape():

@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 from kirchlab import (
     Congruence,
+    CongruenceSet,
     OverlapError,
     classify,
     closure,
@@ -19,7 +20,6 @@ from kirchlab import (
     generator,
     intersect,
     kirch_basic_open,
-    members,
     pair_A,
     prime_factors,
     realize,
@@ -68,14 +68,32 @@ def test_members_window_matches_contains(a, b, width):
     c = closure(a, b)
     lo = a
     hi = lo + width
-    assert members(c, lo, hi) == [z for z in range(lo, hi + 1) if z in c]
+    assert c.members(lo, hi) == [z for z in range(lo, hi + 1) if z in c]
+
+
+@st.composite
+def congruence_sets(draw):
+    primes = draw(st.lists(st.sampled_from((2, 3, 5, 7, 11, 13, 101)), unique=True, max_size=5))
+    forced, two_class = [], []
+    for p in primes:
+        k = draw(st.integers(0, p - 1))
+        if k == 0:
+            forced.append(p)
+        else:
+            two_class.append((p, k))
+    return CongruenceSet(tuple(forced), tuple(two_class))
+
+
+@given(congruence_sets())
+def test_every_congruence_set_holds_its_period(s):
+    # residue 0 is allowed at every prime, so no congruence set is empty
+    assert s.period in s
 
 
 @given(st.integers(1, 60), st.integers(1, 60), st.integers(1, 60), st.integers(1, 60))
 def test_intersect_denotes_set_intersection(a1, b1, a2, b2):
     s1, s2 = closure(a1, b1), closure(a2, b2)
     both = intersect(s1, s2)
-    assert not both.is_empty  # closures of progressions always meet
     hi = s1.period * s2.period
     want = sorted(set(s1.members(1, hi)) & set(s2.members(1, hi)))
     assert both.members(1, hi) == want
@@ -93,8 +111,7 @@ def test_superconnectedness_witness(pairs):
         assert kirch_basic_open(a, b).kirch_basic or b == 1
         c = closure(a, b)
         acc = c if acc is None else intersect(acc, c)
-    assert not acc.is_empty
-    assert acc.members(1, acc.period) != []
+    assert acc.period in acc
 
 
 @given(st.integers(1, 500), st.integers(1, 500))

@@ -6,7 +6,6 @@ import random
 import pytest
 
 from kirchlab import (
-    EMPTY,
     CongruenceSet,
     SuiteReport,
     TooSmall,
@@ -54,13 +53,6 @@ def test_congruence_set_subset_examples():
     one = CongruenceSet(forced_divisors=(), two_class_constraints=((3, 1),))
     two = CongruenceSet(forced_divisors=(), two_class_constraints=((3, 2),))
     assert not congruence_set_subset(one, two)
-
-
-def test_congruence_set_subset_empty_cases():
-    s = CongruenceSet(forced_divisors=(7,), two_class_constraints=())
-    assert congruence_set_subset(EMPTY, s)
-    assert congruence_set_subset(EMPTY, EMPTY)
-    assert not congruence_set_subset(s, EMPTY)
 
 
 def _random_congruence_set(rng):
