@@ -31,6 +31,10 @@ Edges are produced by two independent routes:
 
 Vertex degrees in the infinite graph follow from the same table without
 any enumeration (degree_infinite).
+
+A bounded slice takes a bound of at most MAX_OPERAND = 10**9; a larger one
+is refused with a ValueError naming the cap, as the definition route tests
+every vertex pair.
 """
 from __future__ import annotations
 
@@ -38,7 +42,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional
 
-from .numtheory import NotPrime, PrimeType, classify_prime, is_prime
+from .numtheory import MAX_OPERAND, NotPrime, PrimeType, classify_prime, is_prime
 
 
 class NotAVertex(ValueError):
@@ -63,11 +67,18 @@ class GammaGraph:
         }
 
 
-def gamma2(bound: int) -> GammaGraph:
-    """The chain graph on the powers of two up to bound."""
+def _check_bound(bound: int) -> int:
     bound = int(bound)
     if bound < 1:
         raise ValueError("bound must be positive")
+    if bound > MAX_OPERAND:
+        raise ValueError(f"bound capped at {MAX_OPERAND}, got {bound}")
+    return bound
+
+
+def gamma2(bound: int) -> GammaGraph:
+    """The chain graph on the powers of two up to bound."""
+    bound = _check_bound(bound)
     verts = []
     v = 1
     while v <= bound:
@@ -89,9 +100,7 @@ def _check_odd_prime(p: int) -> int:
 def vertices(p: int, bound: int) -> tuple:
     """All 2^a * p^b <= bound with a >= 0, b >= 1, ascending."""
     p = _check_odd_prime(p)
-    bound = int(bound)
-    if bound < 1:
-        raise ValueError("bound must be positive")
+    bound = _check_bound(bound)
     out = []
     ppow = p
     while ppow <= bound:
@@ -147,9 +156,7 @@ def edges_by_definition(p: int, bound: int) -> tuple:
 def edges_closed_form(p: int, bound: int) -> tuple:
     """Edges among vertices <= bound, from the solution-family table."""
     p = _check_odd_prime(p)
-    bound = int(bound)
-    if bound < 1:
-        raise ValueError("bound must be positive")
+    bound = _check_bound(bound)
     out = set()
     for (u1, v1), (u2, v2) in _families(p):
         t = 1

@@ -14,8 +14,12 @@ Since every constraint allows residue 0, a CongruenceSet always contains
 the product of its primes — it is never empty, and neither is the
 intersection of two of them.
 
-Member listings are capped: a window [lo, hi] must end at or below
-MAX_OPERAND = 10**9 and hold at most MAX_WINDOW = 10**6 values.
+Member listings enumerate the window rather than scan it: the allowed
+residues of the most selective primes are combined by CRT into residues
+modulo their product Q, each residue lists its arithmetic progression in the
+window, and the remaining primes filter that list.  Listings are capped: a
+window [lo, hi] must end at or below MAX_OPERAND = 10**9 and hold at most
+MAX_WINDOW = 10**6 values.
 """
 from __future__ import annotations
 
@@ -129,7 +133,22 @@ class CongruenceSet:
     __contains__ = contains
 
     def members(self, lo: int, hi: int) -> list:
-        """All members in the window [lo, hi], ascending.
+        """All members in the window [lo, hi], ascending, by enumeration.
+
+        Each constraint allows R_p residues mod p (allowed_residues): (0,)
+        for a forced divisor, (0, k) for a two-class prime; a constraint
+        allowing every residue, the marker 2 -> 1, is dropped.  Taking the
+        primes most selective first (least R_p / p), each one either joins
+        the CRT modulus Q, multiplying the R residues mod Q by R_p, or is
+        kept back to filter the candidates, whichever lowers the estimated
+        work R * (1 + n / Q) on a window of n values (residues plus
+        candidates).  That estimate starts at n + 1 with Q = 1 and never
+        rises, so the work is at most about one pass over the window, and
+        far less for a sparse set: one range(first >= lo, hi + 1, Q) per
+        residue, the kept-back primes applied to what those ranges list,
+        then a sort that merges the R ascending runs.  A prime above the
+        window joins Q (at most two candidates per p values) instead of
+        filtering it all.
 
         Raises ValueError unless 1 <= lo <= hi <= MAX_OPERAND and the
         window holds at most MAX_WINDOW values.
@@ -139,9 +158,31 @@ class CongruenceSet:
             raise ValueError("need 1 <= lo <= hi")
         if hi > MAX_OPERAND:
             raise ValueError(f"window end capped at {MAX_OPERAND}, got {hi}")
-        if hi - lo + 1 > MAX_WINDOW:
-            raise ValueError(f"window capped at {MAX_WINDOW} values, got {hi - lo + 1}")
-        return [z for z in range(lo, hi + 1) if self.contains(z)]
+        n = hi - lo + 1
+        if n > MAX_WINDOW:
+            raise ValueError(f"window capped at {MAX_WINDOW} values, got {n}")
+        constraints = [
+            (p, allowed)
+            for p in self.primes_mentioned()
+            if len(allowed := self.allowed_residues(p)) < p
+        ]
+        constraints.sort(key=lambda c: len(c[1]) / c[0])
+        Q, residues, kept_back = 1, [0], []
+        for p, allowed in constraints:
+            if len(allowed) * (Q * p + n) <= p * (Q + n):
+                inv = pow(Q, -1, p)
+                residues = [r + Q * ((s - r) * inv % p) for r in residues for s in allowed]
+                Q *= p
+            else:
+                kept_back.append((p, allowed))
+        out = []
+        for r in residues:
+            out.extend(range(lo + (r - lo) % Q, hi + 1, Q))
+        for p, allowed in kept_back:
+            out = [z for z in out if z % p in allowed]
+        if len(residues) > 1:
+            out.sort()
+        return out
 
     def to_json_dict(self) -> dict:
         return {

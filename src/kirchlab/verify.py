@@ -17,6 +17,7 @@ body excludes timing.
 """
 from __future__ import annotations
 
+import math
 import random
 import time
 from dataclasses import dataclass
@@ -25,6 +26,7 @@ from itertools import combinations, product
 import numpy as np
 
 from .numtheory import (
+    MAX_OPERAND,
     Congruence,
     PrimeSet,
     classify_prime,
@@ -233,6 +235,23 @@ def _suite_closure(bounds, rng):
         checked += 1
         if got != want:
             rec.add([a, b, z], want, got)
+    # bind the window enumeration to the witness: one seeded window per b,
+    # up to twice rad(b) wide and anywhere below the operand cap, so that
+    # some primes join the CRT modulus and some filter its candidates
+    for b in range(1, b_max + 1):
+        pis = tuple(int(p) for p in prime_factors(b))
+        a = rng.randint(1, a_max)
+        width = rng.randint(1, 2 * math.prod(pis))
+        lo = rng.randint(2, MAX_OPERAND - width + 1)
+        zs = np.arange(lo, lo + width, dtype=np.int64)
+        witness = np.ones(width, dtype=bool)
+        for p in pis:
+            witness &= (zs % p == 0) | ((zs - a) % p == 0)
+        want = zs[witness].tolist()
+        got = closure(a, b).members(lo, lo + width - 1)
+        checked += width
+        if got != want:
+            rec.add([a, b, lo, lo + width - 1], want, got)
     return checked, rec, []
 
 
@@ -336,6 +355,11 @@ def _suite_order(bounds, rng):
         d = _descriptor_cached(s)
         reps.setdefault(_descriptor_key(d), d)
     rep_descs = list(reps.values())
+    if len(rep_descs) > MAX_ORDER_DESCRIPTORS:
+        raise ValueError(
+            f"suite order: sizes up to max_value {n} give {len(rep_descs)} distinct "
+            f"descriptors, at most {MAX_ORDER_DESCRIPTORS} (the grid is their square)"
+        )
     checked = 0
     # both routes are pure functions of the descriptor key, so the key grid
     # covers the full exhaustive pair space
@@ -610,12 +634,23 @@ MIN_BOUNDS = {
     "chains": {"max_base": 2, "max_exponent": 1},
 }
 
-# greatest value of each pair-grid knob: the grid holds max_value^2 / 2 pairs
-# as several numpy arrays (classify at 8192 peaks near 900 MB RSS)
+# greatest value of an integer knob: a pair grid holds max_value^2 / 2 pairs
+# as several numpy arrays (classify at 8192 peaks near 900 MB RSS), and the
+# Gamma_p bound is the library's operand cap
 MAX_BOUNDS = {
     "pairA": {"max_value": 1000},
     "classify": {"max_value": 8192},
+    "gamma": {"bound": MAX_OPERAND},
 }
+
+# most work a tuple knob may ask for: the residue tuples the realize suite
+# walks (the product of p + 1 over the odd pool primes, less one; 32255 for
+# the default pool), the sets the order suite lists (the sum of
+# C(max_value, s) over sizes; 4495 by default) and the distinct descriptors
+# whose square is the order grid (393 by default)
+MAX_REALIZE_TUPLES = 40_000
+MAX_ORDER_SETS = 10_000
+MAX_ORDER_DESCRIPTORS = 500
 
 # the prime-tuple knobs, and whether 2 may appear in them
 _PRIME_KNOBS = {
@@ -639,6 +674,33 @@ def _tuple_knob_minimums(name: str, cfg: dict) -> dict:
             kind = "primes" if two_allowed else "odd primes"
             raise ValueError(f"suite {name}: {knob} must hold distinct {kind}, got {ps}")
     return {}
+
+
+def _check_tuple_knob_work(name: str, cfg: dict) -> None:
+    # refuse, before any work, a tuple knob that asks for more than its cap
+    if name == "realize":
+        tuples = math.prod(p + 1 for p in cfg["prime_pool"] if p != 2) - 1
+        if tuples > MAX_REALIZE_TUPLES:
+            raise ValueError(
+                f"suite realize: prime_pool asks for {tuples} residue tuples, "
+                f"at most {MAX_REALIZE_TUPLES}"
+            )
+    if name == "order":
+        n, sets = cfg["max_value"], 0
+        for size in cfg["sizes"]:
+            # C(n, i) grows with i up to n / 2, so stop once it passes the
+            # cap rather than compute a huge binomial
+            count = 1
+            for i in range(min(size, n - size)):
+                count = count * (n - i) // (i + 1)
+                if count > MAX_ORDER_SETS:
+                    break
+            sets += count
+            if sets > MAX_ORDER_SETS:
+                raise ValueError(
+                    f"suite order: sizes ask for more than {MAX_ORDER_SETS} sets "
+                    f"up to max_value {n}"
+                )
 
 
 # order in which bare `--bound` integers fill a suite's knobs
@@ -678,8 +740,9 @@ def run_suite(name: str, bounds: dict = None, seed: int = 0) -> SuiteReport:
 
     bounds overrides a subset of the suite's default knobs (unknown keys
     are rejected, and so is a malformed tuple knob, an integer knob below
-    its MIN_BOUNDS entry or the minimum a tuple knob implies, or a pair-grid
-    knob above its MAX_BOUNDS entry);
+    its MIN_BOUNDS entry or the minimum a tuple knob implies, an integer
+    knob above its MAX_BOUNDS entry, or a tuple knob asking for more work
+    than MAX_REALIZE_TUPLES, MAX_ORDER_SETS or MAX_ORDER_DESCRIPTORS allow);
     seed drives every randomized phase, making the report body
     reproducible.  A run that checks nothing is an error, never a pass.
     """
@@ -700,6 +763,7 @@ def run_suite(name: str, bounds: dict = None, seed: int = 0) -> SuiteReport:
             raise ValueError(
                 f"suite {name}: {knob} must be at most {maximums[knob]}, got {cfg[knob]}"
             )
+    _check_tuple_knob_work(name, cfg)
     rng = random.Random(seed)
     t0 = time.perf_counter()
     checked, rec, findings = _SUITES[name](cfg, rng)

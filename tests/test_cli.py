@@ -1,14 +1,19 @@
-"""End-to-end tests of the command-line interface (subprocess level)."""
+"""End-to-end tests of the command-line interface (subprocess level, and in process
+for the totality property over small argv)."""
 
 import hashlib
+import io
 import json
 import random
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from kirchlab import descriptor
+from kirchlab import cli, descriptor
+from kirchlab.verify import BOUND_ORDER, MIN_BOUNDS, suite_names
 
 CMD = [sys.executable, "-m", "kirchlab"]
 
@@ -176,6 +181,8 @@ def test_verify_bound_below_minimum_is_a_domain_error(suite, bound, knob):
         (("upset", 10007, 20014), "p capped at 10000"),
         (("verify", "classify", "--bound", 8193), "max_value must be at most 8192"),
         (("verify", "pairA", "--bound", 1001), "max_value must be at most 1000"),
+        (("gamma", 3, "--bound", 10**9 + 1), "bound capped at 1000000000"),
+        (("verify", "gamma", "--bound", 10**9 + 1), "bound must be at most 1000000000"),
     ],
 )
 def test_argv_just_over_a_cap_is_a_domain_error(argv, cap):
@@ -239,6 +246,13 @@ GOLDEN_STDOUT = {
         "f0e3a3eca505c46c50c8db994d8e7c022824e0bd40bdcfa71673579b02552227",
     ("cmp", "1", "121", "--", "1", "11"):
         "e9967e79b22d7d4b0ed0e6243c90455f08769f9e61cca32ca7a1f78588866991",
+    # wide windows, recorded before members enumerated by CRT residues
+    ("closure", "7", "30", "--window", "1", "1000000"):
+        "0afec652ec4754c82ac7b39844e5fa442fcedc2ae286ef13ee70e2c15fae27a3",
+    ("closure", "1", "1", "--window", "1", "1000000"):
+        "00d7f1ab6b1cb0cb6a09ee0ed1a09353f20b1a892090d2bceda2371fdde09dc1",
+    ("closure", "1", "4849845", "--window", "999000001", "1000000000"):
+        "a9489454a54da5b0a8e5d0728cb079ecfd1d2a8114f5e16650604f9c77c98846",
 }
 
 
@@ -247,3 +261,74 @@ def test_stdout_matches_the_golden_digest(argv):
     r = run_cli(*argv)
     assert r.returncode == 0
     assert hashlib.sha256(r.stdout.encode()).hexdigest() == GOLDEN_STDOUT[argv]
+
+
+# ------------------------------------------------------------ totality
+
+_OPERAND = st.integers(-1, 1000).map(str)
+# mostly primes, so that realize and gamma get past their prime checks
+_PRIME_OR_NOT = st.sampled_from((2, 3, 5, 7, 11, 13, 17, 31, 257)) | st.integers(-1, 1000)
+
+
+@st.composite
+def small_argv(draw):
+    """argv of every subcommand with operands <= 1000; verify only near MIN_BOUNDS."""
+    command = draw(
+        st.sampled_from(
+            ("closure", "filter", "classify", "upset", "realize", "gamma", "verify", "primes", "cmp",
+             "frobnicate")
+        )
+    )
+    if command == "closure":
+        argv = ["closure", draw(_OPERAND), draw(_OPERAND)]
+        if draw(st.booleans()):
+            argv += ["--window", draw(_OPERAND), draw(_OPERAND)]
+    elif command in ("filter", "classify", "upset"):
+        argv = [command] + draw(st.lists(_OPERAND, max_size=4))
+    elif command == "realize":
+        # at most two odd primes, so that the witness stays below 2 * 1000**2
+        pairs = draw(st.lists(st.tuples(_PRIME_OR_NOT, st.integers(-1, 20)), min_size=1, max_size=2))
+        if draw(st.booleans()):
+            pairs.insert(0, (2, 1))
+        primes, alpha = zip(*pairs)
+        alpha = alpha[: len(alpha) - draw(st.integers(0, 1))]  # shorter: a usage error
+        argv = ["realize", "--primes", ",".join(map(str, primes))]
+        argv += ["--alpha", ",".join(map(str, alpha))]
+    elif command == "gamma":
+        argv = ["gamma", str(draw(_PRIME_OR_NOT)), "--bound", draw(_OPERAND)]
+        argv += ["--format", draw(st.sampled_from(("dot", "json")))]
+    elif command == "verify":
+        suite = draw(st.sampled_from(suite_names()))
+        knobs = BOUND_ORDER[suite]
+        argv = ["verify", suite, "--seed", str(draw(st.integers(-1, 5))), "--bound"]
+        for knob in knobs:
+            # from just below the knob's least value to a little above it
+            # (order's max_value and random_max start at max(sizes) = 3)
+            least = MIN_BOUNDS[suite].get(knob, 3)
+            argv.append(str(draw(st.integers(max(1, least - 1), least + 3))))
+        if not knobs or draw(st.booleans()):
+            argv.append("1")  # one value too many: a usage error
+    elif command == "primes":
+        argv = ["primes", "classify", draw(_OPERAND)]
+    elif command == "cmp":
+        argv = ["cmp"] + draw(st.lists(_OPERAND, max_size=3))
+        argv += ["--"] + draw(st.lists(_OPERAND, max_size=3))
+    else:
+        argv = [command]
+    return argv
+
+
+def _dispatch(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.dispatch(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=600)
+@given(small_argv())
+def test_every_small_argv_answers_or_fails_cleanly(argv):
+    code, out, err = _dispatch(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    assert _dispatch(argv)[:2] == (code, out)  # stderr may carry timings

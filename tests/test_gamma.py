@@ -77,6 +77,22 @@ def test_closed_form_matches_definition_up_to_the_operand_cap():
         assert edges_closed_form(p, 10**9) == edges_by_definition(p, 10**9), p
 
 
+def test_bounds_above_the_operand_cap_are_refused():
+    builds = (
+        gamma2,
+        lambda bound: vertices(3, bound),
+        lambda bound: gamma_graph(3, bound),
+        lambda bound: gamma_graph(2, bound),
+        lambda bound: edges_by_definition(3, bound),
+        lambda bound: edges_closed_form(3, bound),
+    )
+    for build in builds:
+        with pytest.raises(ValueError, match="bound capped at 1000000000"):
+            build(10**9 + 1)
+    assert gamma2(10**9).vertices[-1] == 2**29
+    assert vertices(3, 10**9)[-1] <= 10**9
+
+
 def test_closed_form_spotlight_edges():
     assert (9, 12) in edges_closed_form(3, 54)
     assert (48, 54) in edges_closed_form(3, 54)

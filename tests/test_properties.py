@@ -2,7 +2,7 @@
 
 import math
 
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from kirchlab import (
     Congruence,
@@ -24,6 +24,7 @@ from kirchlab import (
     prime_factors,
     realize,
 )
+from kirchlab.numtheory import MAX_OPERAND
 
 small_sets = st.sets(st.integers(1, 120), min_size=2, max_size=4).map(lambda s: tuple(sorted(s)))
 
@@ -71,9 +72,13 @@ def test_members_window_matches_contains(a, b, width):
     assert c.members(lo, hi) == [z for z in range(lo, hi + 1) if z in c]
 
 
+# small primes, and primes above any window the tests list (up to 10**9)
+SET_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 101, 10007, 1000003, 999999937)
+
+
 @st.composite
 def congruence_sets(draw):
-    primes = draw(st.lists(st.sampled_from((2, 3, 5, 7, 11, 13, 101)), unique=True, max_size=5))
+    primes = draw(st.lists(st.sampled_from(SET_PRIMES), unique=True, max_size=10))
     forced, two_class = [], []
     for p in primes:
         k = draw(st.integers(0, p - 1))
@@ -88,6 +93,22 @@ def congruence_sets(draw):
 def test_every_congruence_set_holds_its_period(s):
     # residue 0 is allowed at every prime, so no congruence set is empty
     assert s.period in s
+
+
+# seven two-class primes, the marker 2 -> 1 and a prime above the window,
+# whose residues 0 and 9 both fall in the window (999002997 = 999 * 1000003),
+# so that the small primes filter them; and the seven small primes alone at
+# the top of the operand range, where four of them filter the CRT candidates
+_SEVEN = ((3, 2), (5, 3), (7, 1), (11, 10), (13, 6), (17, 4), (19, 5))
+
+
+@example(CongruenceSet((), _SEVEN + ((2, 1), (1000003, 9))), 3000, 999001998)
+@example(CongruenceSet((), _SEVEN + ((2, 1),)), 3000, MAX_OPERAND)
+@given(congruence_sets(), st.integers(1, 3000), st.integers(1, MAX_OPERAND))
+def test_members_enumeration_equals_the_membership_scan(s, width, lo):
+    lo = min(lo, MAX_OPERAND - width + 1)
+    hi = lo + width - 1
+    assert s.members(lo, hi) == [z for z in range(lo, hi + 1) if z in s]
 
 
 @given(st.integers(1, 60), st.integers(1, 60), st.integers(1, 60), st.integers(1, 60))

@@ -2,6 +2,7 @@
 
 import json
 import random
+import time
 
 import pytest
 
@@ -172,6 +173,33 @@ def test_malformed_tuple_knobs_are_rejected_by_name(name, bounds, message):
     with pytest.raises(ValueError, match=message) as info:
         run_suite(name, bounds=bounds)
     assert type(info.value) is ValueError
+
+
+@pytest.mark.parametrize(
+    "name, bounds, message",
+    [
+        ("realize", {"prime_pool": (2, 100003)}, "prime_pool asks for 100003 residue tuples"),
+        ("order", {"sizes": (12,), "max_value": 40}, "sizes ask for more than 10000 sets"),
+        (
+            "order",
+            {"sizes": (10**6,), "max_value": 10**9, "random_max": 10**9},
+            "sizes ask for more than 10000 sets",
+        ),
+    ],
+)
+def test_tuple_knobs_asking_for_unbounded_work_are_refused(name, bounds, message):
+    # refused before any work, so far inside the time guard
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError, match=message):
+        run_suite(name, bounds=bounds)
+    assert time.perf_counter() - t0 < 1.0
+
+
+def test_order_grid_is_refused_above_the_descriptor_cap():
+    # 4465 sets pass the set cap, but their 3889 descriptors would square
+    # into a grid far past MAX_ORDER_DESCRIPTORS
+    with pytest.raises(ValueError, match="give 3889 distinct descriptors"):
+        run_suite("order", bounds={"sizes": (2,), "max_value": 95})
 
 
 def test_order_minimums_follow_the_largest_size():
