@@ -14,7 +14,7 @@ from .numtheory import classify_prime
 from .progressions import closure
 from .filters import classify, descriptor, filter_le, realize, upset_in_Fprime
 from .gamma import export_dot, gamma_graph
-from .verify import BOUND_ORDER, run_suite, suite_names
+from .verify import BOUND_KNOBS, run_suite, suite_names
 
 
 def _positive_int(text: str) -> int:
@@ -85,7 +85,7 @@ def _cmd_gamma(args) -> int:
 def _cmd_verify(args) -> int:
     bounds = None
     if args.bound:
-        knobs = BOUND_ORDER[args.suite]
+        knobs = BOUND_KNOBS[args.suite]
         if len(args.bound) > len(knobs):
             print(
                 f"error: suite {args.suite!r} takes at most {len(knobs)} --bound values "

@@ -60,6 +60,7 @@ class Overflow(ValueError):
 
 
 MAX_UPSET_PRIME = 10**4  # largest p whose case-1 up-set (p - 1 descriptors) is listed
+_SCAN_CELLS = 1 << 16  # residues compute_A holds at once
 
 
 class _AllPrimes:
@@ -127,8 +128,8 @@ def compute_A(E: Iterable[int]) -> PrimeSet:
     """Signature primes of E, by direct residue scan over all p <= max(E).
 
     2 always qualifies.  An odd prime p qualifies iff the nonzero residues
-    of E mod p all agree, i.e. E fits in {0, k} + p*Z for k = that residue
-    (k = 0 when p divides everything).  Primes above max(E) never qualify
+    of E mod p all agree, i.e. E fits in {0, k} + p*Z for k the largest
+    residue (k = 0 when p divides everything).  Primes above max(E) never qualify
     for |E| >= 2: two distinct elements below p cannot share a class.
     """
     elems = _element_tuple(E)
@@ -136,16 +137,17 @@ def compute_A(E: Iterable[int]) -> PrimeSet:
         raise TooSmall("signature scan needs at least two elements")
     odd = primes_upto(elems[-1])
     odd = odd[1:] if len(odd) and odd[0] == 2 else odd
-    if not len(odd):
-        return PrimeSet((2,))
-    first_nz = np.zeros(len(odd), dtype=np.int64)
-    ok = np.ones(len(odd), dtype=bool)
-    for e in elems:
-        r = e % odd
-        nz = r != 0
-        ok &= ~(nz & (first_nz != 0) & (first_nz != r))
-        first_nz = np.where(nz & (first_nz == 0), r, first_nz)
-    return PrimeSet((2, *(int(p) for p in odd[ok])))
+    # int32 holds every operand (MAX_OPERAND < 2**31) and divides faster;
+    # the residue table is built a block of primes at a time, so its size
+    # stays near _SCAN_CELLS whatever max(E) is
+    col = np.array(elems, dtype=np.int32)[:, None]
+    step = max(1, _SCAN_CELLS // len(elems))
+    keep = []
+    for lo in range(0, len(odd), step):
+        block = odd[lo:lo + step]
+        r = col % block.astype(np.int32)
+        keep += block[((r == 0) | (r == r.max(axis=0))).all(axis=0)].tolist()
+    return PrimeSet((2, *keep))
 
 
 def pair_A(x: int, y: int) -> PrimeSet:

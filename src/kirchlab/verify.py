@@ -165,8 +165,8 @@ class SuiteReport:
     def passed(self) -> bool:
         return self.failure_count == 0
 
-    def to_json_dict(self, include_elapsed: bool = False) -> dict:
-        out = {
+    def to_json_dict(self) -> dict:
+        return {
             "suite": self.suite_name,
             "bounds": {k: list(v) if isinstance(v, tuple) else v for k, v in self.bounds.items()},
             "seed": self.seed,
@@ -176,9 +176,6 @@ class SuiteReport:
             "findings": [f if not isinstance(f, dict) else dict(f) for f in self.findings],
             "passed": self.passed,
         }
-        if include_elapsed:
-            out["elapsed"] = self.elapsed
-        return out
 
 
 class _Recorder:
@@ -355,11 +352,6 @@ def _suite_order(bounds, rng):
         d = _descriptor_cached(s)
         reps.setdefault(_descriptor_key(d), d)
     rep_descs = list(reps.values())
-    if len(rep_descs) > MAX_ORDER_DESCRIPTORS:
-        raise ValueError(
-            f"suite order: sizes up to max_value {n} give {len(rep_descs)} distinct "
-            f"descriptors, at most {MAX_ORDER_DESCRIPTORS} (the grid is their square)"
-        )
     checked = 0
     # both routes are pure functions of the descriptor key, so the key grid
     # covers the full exhaustive pair space
@@ -617,16 +609,17 @@ SUITE_DEFAULTS = {
     "chains": {"max_base": 50, "max_exponent": 5},
 }
 
-# least value of each integer knob: below it a suite checks nothing, or a
-# phase has no range to draw from (the powers suite expects the pair 8, 9;
-# order's max_value and random_max are at least max(sizes), see
-# _tuple_knob_minimums)
-MIN_BOUNDS = {
-    "closure": {"a_max": 1, "b_max": 1, "samples": 0},
-    "pairA": {"max_value": 2, "samples": 0},
+# the knobs `verify --bound` fills, in its positional order, each with its
+# least value: below it a suite checks nothing, or a phase has no range to
+# draw from (the powers suite expects the pair 8, 9; order draws sets of up
+# to max(sizes) = 3 elements from [1, max_value] and [1, random_max]).  The
+# other SUITE_DEFAULTS entries are fixed.
+BOUND_KNOBS = {
+    "closure": {"a_max": 1, "b_max": 1},
+    "pairA": {"max_value": 2},
     "realize": {},
-    "order": {"raw_samples": 0, "random_pairs": 0, "widen_samples": 0},
-    "classify": {"max_value": 2, "samples": 0},
+    "order": {"max_value": 3, "random_max": 3},
+    "classify": {"max_value": 2},
     "upsets": {"instances": 0},
     "gamma": {"bound": 1, "grid": 1},
     "zsigmondy": {"max_base": 2, "max_exponent": 2},
@@ -634,88 +627,32 @@ MIN_BOUNDS = {
     "chains": {"max_base": 2, "max_exponent": 1},
 }
 
-# greatest value of an integer knob: a pair grid holds max_value^2 / 2 pairs
-# as several numpy arrays (classify at 8192 peaks near 900 MB RSS), and the
-# Gamma_p bound is the library's operand cap
+# greatest value of each knob; the comments give whole `kirchlab verify`
+# runs at the suite's slowest accepted setting, two each (2 vCPUs, Python
+# 3.11, in spells where the order default took 7.4-7.6 s)
 MAX_BOUNDS = {
-    "pairA": {"max_value": 1000},
-    "classify": {"max_value": 8192},
-    "gamma": {"bound": MAX_OPERAND},
+    "closure": {"a_max": 400, "b_max": 400},  # 400 400: 8.5-9.6 s
+    "pairA": {"max_value": 1000},  # 2.7-2.9 s, 59 MB
+    "realize": {},
+    # the grid is the square of the distinct descriptors: 393 at the
+    # default 30, 479 at 33, 528 at 34
+    "order": {"max_value": 33, "random_max": 1000},  # 33 1000: 10.2-13.0 s
+    # the pair grid holds max_value^2 / 2 pairs as several numpy arrays
+    "classify": {"max_value": 8192},  # 1.7-2.1 s, 894 MB
+    "upsets": {"instances": 60_000},  # 6.1-8.8 s
+    # the Gamma_p bound is the library's operand cap
+    "gamma": {"bound": MAX_OPERAND, "grid": 160},  # 10**9 160: 7.9-8.7 s
+    "zsigmondy": {"max_base": 100, "max_exponent": 140},  # 100 140: 8.1-9.4 s
+    "powers": {"limit": 10**13},  # 7.4-10.3 s, 299 MB
+    # 2**29 passes MAX_CHAIN_POWER; the default 50 5 is the slowest
+    "chains": {"max_base": 50, "max_exponent": 28},
 }
 
-# most work a tuple knob may ask for: the residue tuples the realize suite
-# walks (the product of p + 1 over the odd pool primes, less one; 32255 for
-# the default pool), the sets the order suite lists (the sum of
-# C(max_value, s) over sizes; 4495 by default) and the distinct descriptors
-# whose square is the order grid (393 by default)
-MAX_REALIZE_TUPLES = 40_000
-MAX_ORDER_SETS = 10_000
-MAX_ORDER_DESCRIPTORS = 500
-
-# the prime-tuple knobs, and whether 2 may appear in them
-_PRIME_KNOBS = {
-    "realize": ("prime_pool", True),
-    "upsets": ("prime_list", False),
-    "gamma": ("prime_list", False),
-}
-
-
-def _tuple_knob_minimums(name: str, cfg: dict) -> dict:
-    # validate the tuple knobs; return the integer-knob minimums they imply
-    if name == "order":
-        sizes = tuple(cfg["sizes"])
-        if not sizes or min(sizes) < 2:
-            raise ValueError(f"suite order: sizes must be nonempty, each at least 2, got {sizes}")
-        return {"max_value": max(sizes), "random_max": max(sizes)}
-    if name in _PRIME_KNOBS:
-        knob, two_allowed = _PRIME_KNOBS[name]
-        ps = tuple(cfg[knob])
-        if len(set(ps)) != len(ps) or not all(is_prime(p) and (two_allowed or p != 2) for p in ps):
-            kind = "primes" if two_allowed else "odd primes"
-            raise ValueError(f"suite {name}: {knob} must hold distinct {kind}, got {ps}")
-    return {}
-
-
-def _check_tuple_knob_work(name: str, cfg: dict) -> None:
-    # refuse, before any work, a tuple knob that asks for more than its cap
-    if name == "realize":
-        tuples = math.prod(p + 1 for p in cfg["prime_pool"] if p != 2) - 1
-        if tuples > MAX_REALIZE_TUPLES:
-            raise ValueError(
-                f"suite realize: prime_pool asks for {tuples} residue tuples, "
-                f"at most {MAX_REALIZE_TUPLES}"
-            )
-    if name == "order":
-        n, sets = cfg["max_value"], 0
-        for size in cfg["sizes"]:
-            # C(n, i) grows with i up to n / 2, so stop once it passes the
-            # cap rather than compute a huge binomial
-            count = 1
-            for i in range(min(size, n - size)):
-                count = count * (n - i) // (i + 1)
-                if count > MAX_ORDER_SETS:
-                    break
-            sets += count
-            if sets > MAX_ORDER_SETS:
-                raise ValueError(
-                    f"suite order: sizes ask for more than {MAX_ORDER_SETS} sets "
-                    f"up to max_value {n}"
-                )
-
-
-# order in which bare `--bound` integers fill a suite's knobs
-BOUND_ORDER = {
-    "closure": ("a_max", "b_max"),
-    "pairA": ("max_value",),
-    "realize": (),
-    "order": ("max_value", "random_max"),
-    "classify": ("max_value",),
-    "upsets": ("instances",),
-    "gamma": ("bound", "grid"),
-    "zsigmondy": ("max_base", "max_exponent"),
-    "powers": ("limit",),
-    "chains": ("max_base", "max_exponent"),
-}
+# greatest max_base ** max_exponent of the chains suite, the default's:
+# compute_A scans every prime up to each x^m, so the default takes 11.8-13.2 s
+# and 848 MB (26 6: 12.5 s, 2 28: 10.1 s), and 10 9, whose power nears the
+# operand cap, took 15.6 s and 1.47 GB
+MAX_CHAIN_POWER = 50**5
 
 _SUITES = {
     "closure": _suite_closure,
@@ -738,32 +675,38 @@ def suite_names() -> tuple:
 def run_suite(name: str, bounds: dict = None, seed: int = 0) -> SuiteReport:
     """Run one registered suite and return its report.
 
-    bounds overrides a subset of the suite's default knobs (unknown keys
-    are rejected, and so is a malformed tuple knob, an integer knob below
-    its MIN_BOUNDS entry or the minimum a tuple knob implies, an integer
-    knob above its MAX_BOUNDS entry, or a tuple knob asking for more work
-    than MAX_REALIZE_TUPLES, MAX_ORDER_SETS or MAX_ORDER_DESCRIPTORS allow);
-    seed drives every randomized phase, making the report body
-    reproducible.  A run that checks nothing is an error, never a pass.
+    bounds overrides some of the suite's BOUND_KNOBS, each within its
+    BOUND_KNOBS and MAX_BOUNDS entries.  Any other key, the suite's fixed
+    SUITE_DEFAULTS entries included, is rejected by name, and so is a chains
+    run whose max_base ** max_exponent passes MAX_CHAIN_POWER; every refusal
+    comes before any work.  seed drives every randomized phase, making the
+    report body reproducible.  A run that checks nothing is an error, never
+    a pass.
     """
     if name not in _SUITES:
         raise UnknownSuite(f"unknown suite {name!r}; expected one of {', '.join(_SUITES)}")
-    cfg = dict(SUITE_DEFAULTS[name])
-    if bounds:
-        unknown = set(bounds) - set(cfg)
-        if unknown:
-            raise ValueError(f"unknown bounds for suite {name}: {sorted(unknown)}")
-        cfg.update(bounds)
-    minimums = {**MIN_BOUNDS[name], **_tuple_knob_minimums(name, cfg)}
-    maximums = MAX_BOUNDS.get(name, {})
-    for knob, least in minimums.items():
+    settable = BOUND_KNOBS[name]
+    bounds = bounds or {}
+    fixed = sorted(set(bounds) - set(settable))
+    if fixed:
+        raise ValueError(
+            f"suite {name}: cannot set {', '.join(fixed)}; "
+            f"settable knobs: {', '.join(settable) or 'none'}"
+        )
+    cfg = {**SUITE_DEFAULTS[name], **bounds}
+    for knob, least in settable.items():
         if cfg[knob] < least:
             raise ValueError(f"suite {name}: {knob} must be at least {least}, got {cfg[knob]}")
-        if knob in maximums and cfg[knob] > maximums[knob]:
+        most = MAX_BOUNDS[name][knob]
+        if cfg[knob] > most:
+            raise ValueError(f"suite {name}: {knob} must be at most {most}, got {cfg[knob]}")
+    if name == "chains":
+        power = cfg["max_base"] ** cfg["max_exponent"]
+        if power > MAX_CHAIN_POWER:
             raise ValueError(
-                f"suite {name}: {knob} must be at most {maximums[knob]}, got {cfg[knob]}"
+                f"suite chains: max_base ** max_exponent = {power} "
+                f"must be at most {MAX_CHAIN_POWER}"
             )
-    _check_tuple_knob_work(name, cfg)
     rng = random.Random(seed)
     t0 = time.perf_counter()
     checked, rec, findings = _SUITES[name](cfg, rng)

@@ -7,13 +7,14 @@ import json
 import random
 import subprocess
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from kirchlab import cli, descriptor
-from kirchlab.verify import BOUND_ORDER, MIN_BOUNDS, suite_names
+from kirchlab.verify import BOUND_KNOBS, suite_names
 
 CMD = [sys.executable, "-m", "kirchlab"]
 
@@ -183,6 +184,21 @@ def test_verify_bound_below_minimum_is_a_domain_error(suite, bound, knob):
         (("verify", "pairA", "--bound", 1001), "max_value must be at most 1000"),
         (("gamma", 3, "--bound", 10**9 + 1), "bound capped at 1000000000"),
         (("verify", "gamma", "--bound", 10**9 + 1), "bound must be at most 1000000000"),
+        (("verify", "closure", "--bound", 401), "a_max must be at most 400"),
+        (("verify", "closure", "--bound", 1, 401), "b_max must be at most 400"),
+        (("verify", "order", "--bound", 34), "max_value must be at most 33"),
+        (("verify", "order", "--bound", 3, 1001), "random_max must be at most 1000"),
+        (("verify", "upsets", "--bound", 60001), "instances must be at most 60000"),
+        (("verify", "gamma", "--bound", 1, 161), "grid must be at most 160"),
+        (("verify", "zsigmondy", "--bound", 101), "max_base must be at most 100"),
+        (("verify", "zsigmondy", "--bound", 2, 141), "max_exponent must be at most 140"),
+        (("verify", "powers", "--bound", 10**13 + 1), "limit must be at most 10000000000000"),
+        (("verify", "chains", "--bound", 51, 1), "max_base must be at most 50"),
+        (("verify", "chains", "--bound", 2, 29), "max_exponent must be at most 28"),
+        (
+            ("verify", "chains", "--bound", 27, 6),
+            "max_base ** max_exponent = 387420489 must be at most 312500000",
+        ),
     ],
 )
 def test_argv_just_over_a_cap_is_a_domain_error(argv, cap):
@@ -191,6 +207,19 @@ def test_argv_just_over_a_cap_is_a_domain_error(argv, cap):
     assert r.stdout == ""
     assert cap in r.stderr
     assert "Traceback" not in r.stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("verify", "order", "--bound", "34"), ("verify", "chains", "--bound", "12", "12")],
+    ids=" ".join,
+)
+def test_oversized_verify_argv_is_refused_before_any_work(argv):
+    # the order grid at 34 and the chains at 12 12 would each take seconds
+    t0 = time.perf_counter()
+    code, out, _ = _dispatch(list(argv))
+    assert time.perf_counter() - t0 < 1.0
+    assert (code, out) == (1, "")
 
 
 def test_verify_unknown_suite_is_usage_error():
@@ -272,7 +301,7 @@ _PRIME_OR_NOT = st.sampled_from((2, 3, 5, 7, 11, 13, 17, 31, 257)) | st.integers
 
 @st.composite
 def small_argv(draw):
-    """argv of every subcommand with operands <= 1000; verify only near MIN_BOUNDS."""
+    """argv of every subcommand with operands <= 1000; verify knobs near their least values."""
     command = draw(
         st.sampled_from(
             ("closure", "filter", "classify", "upset", "realize", "gamma", "verify", "primes", "cmp",
@@ -299,12 +328,10 @@ def small_argv(draw):
         argv += ["--format", draw(st.sampled_from(("dot", "json")))]
     elif command == "verify":
         suite = draw(st.sampled_from(suite_names()))
-        knobs = BOUND_ORDER[suite]
+        knobs = BOUND_KNOBS[suite]
         argv = ["verify", suite, "--seed", str(draw(st.integers(-1, 5))), "--bound"]
-        for knob in knobs:
+        for least in knobs.values():
             # from just below the knob's least value to a little above it
-            # (order's max_value and random_max start at max(sizes) = 3)
-            least = MIN_BOUNDS[suite].get(knob, 3)
             argv.append(str(draw(st.integers(max(1, least - 1), least + 3))))
         if not knobs or draw(st.booleans()):
             argv.append("1")  # one value too many: a usage error

@@ -19,7 +19,9 @@ from kirchlab import (
     intersect,
     run_suite,
     suite_names,
+    verify,
 )
+from kirchlab.verify import BOUND_KNOBS, MAX_BOUNDS, SUITE_DEFAULTS
 
 
 # ------------------------------------------------------------ closure oracle
@@ -159,7 +161,29 @@ def test_bounds_below_their_minimum_are_rejected():
 
 
 @pytest.mark.parametrize(
-    "name, bounds, message",
+    "name, knob",
+    [
+        ("closure", "samples"),
+        ("pairA", "samples"),
+        ("realize", "prime_pool"),
+        ("order", "sizes"),
+        ("order", "raw_samples"),
+        ("order", "random_pairs"),
+        ("order", "widen_samples"),
+        ("classify", "samples"),
+        ("upsets", "prime_list"),
+        ("gamma", "prime_list"),
+    ],
+)
+def test_fixed_knobs_are_refused_by_name(name, knob):
+    # refused even at its default value: only BOUND_KNOBS can be set
+    settable = ", ".join(BOUND_KNOBS[name]) or "none"
+    with pytest.raises(ValueError, match=f"cannot set {knob}; settable knobs: {settable}$"):
+        run_suite(name, bounds={knob: SUITE_DEFAULTS[name][knob]})
+
+
+@pytest.mark.parametrize(
+    "name, bounds, defect",
     [
         ("order", {"sizes": (4,), "max_value": 3}, "max_value must be at least 4"),
         ("order", {"sizes": (1, 2)}, "sizes must be nonempty, each at least 2"),
@@ -169,14 +193,17 @@ def test_bounds_below_their_minimum_are_rejected():
         ("gamma", {"prime_list": (2,)}, "prime_list must hold distinct odd primes"),
     ],
 )
-def test_malformed_tuple_knobs_are_rejected_by_name(name, bounds, message):
-    with pytest.raises(ValueError, match=message) as info:
+def test_malformed_tuple_knobs_are_rejected_by_name(name, bounds, defect):
+    # each value is malformed as `defect` says; the tuple knobs are fixed, so
+    # the refusal names the knob before its value reaches the suite
+    (knob,) = set(bounds) - set(BOUND_KNOBS[name])
+    with pytest.raises(ValueError, match=f"suite {name}: cannot set {knob};") as info:
         run_suite(name, bounds=bounds)
     assert type(info.value) is ValueError
 
 
 @pytest.mark.parametrize(
-    "name, bounds, message",
+    "name, bounds, work",
     [
         ("realize", {"prime_pool": (2, 100003)}, "prime_pool asks for 100003 residue tuples"),
         ("order", {"sizes": (12,), "max_value": 40}, "sizes ask for more than 10000 sets"),
@@ -187,36 +214,32 @@ def test_malformed_tuple_knobs_are_rejected_by_name(name, bounds, message):
         ),
     ],
 )
-def test_tuple_knobs_asking_for_unbounded_work_are_refused(name, bounds, message):
-    # refused before any work, so far inside the time guard
+def test_tuple_knobs_asking_for_unbounded_work_are_refused(name, bounds, work):
+    # each value asks for the work `work` names; it is refused by the knob's
+    # name before any work, so far inside the time guard
+    (knob,) = set(bounds) - set(BOUND_KNOBS[name])
     t0 = time.perf_counter()
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(ValueError, match=f"suite {name}: cannot set {knob};"):
         run_suite(name, bounds=bounds)
     assert time.perf_counter() - t0 < 1.0
 
 
-def test_order_grid_is_refused_above_the_descriptor_cap():
-    # 4465 sets pass the set cap, but their 3889 descriptors would square
-    # into a grid far past MAX_ORDER_DESCRIPTORS
-    with pytest.raises(ValueError, match="give 3889 distinct descriptors"):
-        run_suite("order", bounds={"sizes": (2,), "max_value": 95})
+def test_every_settable_knob_has_a_cap_that_admits_its_default():
+    assert MAX_BOUNDS.keys() == BOUND_KNOBS.keys() == set(suite_names())
+    for name in suite_names():
+        assert MAX_BOUNDS[name].keys() == BOUND_KNOBS[name].keys()
+        for knob, least in BOUND_KNOBS[name].items():
+            assert least <= SUITE_DEFAULTS[name][knob] <= MAX_BOUNDS[name][knob]
 
 
-def test_order_minimums_follow_the_largest_size():
-    bounds = {"sizes": (2,), "max_value": 2, "random_max": 2}
-    bounds.update(raw_samples=5, random_pairs=5, widen_samples=5)
-    report = run_suite("order", bounds=bounds)
-    assert report.passed
-    assert report.findings == ({"distinct_descriptors": 1},)
-
-
-def test_a_suite_that_checks_nothing_is_an_error():
+def test_a_suite_that_checks_nothing_is_an_error(monkeypatch):
+    monkeypatch.setitem(verify._SUITES, "powers", lambda bounds, rng: (0, verify._Recorder(), []))
     with pytest.raises(ValueError, match="no instance to check"):
-        run_suite("gamma", bounds={"prime_list": ()})
+        run_suite("powers")
 
 
 def test_small_closure_suite_passes():
-    report = run_suite("closure", bounds={"a_max": 40, "b_max": 40, "samples": 200}, seed=5)
+    report = run_suite("closure", bounds={"a_max": 40, "b_max": 40}, seed=5)
     assert isinstance(report, SuiteReport)
     assert report.passed
     assert report.failure_count == 0
@@ -227,11 +250,12 @@ def test_small_closure_suite_passes():
 
 
 def test_report_json_shape_and_determinism():
-    kwargs = dict(bounds={"max_value": 120, "samples": 60}, seed=9)
+    kwargs = dict(bounds={"max_value": 120}, seed=9)
     r1 = run_suite("pairA", **kwargs)
     r2 = run_suite("pairA", **kwargs)
     d1, d2 = r1.to_json_dict(), r2.to_json_dict()
     assert json.dumps(d1, sort_keys=True) == json.dumps(d2, sort_keys=True)
+    # no elapsed key, so wall-clock noise never leaks into the canonical body
     assert set(d1) == {
         "suite",
         "bounds",
@@ -243,9 +267,6 @@ def test_report_json_shape_and_determinism():
         "passed",
     }
     assert d1["passed"] is True
-    # elapsed only appears on request, so wall-clock noise never leaks
-    # into the canonical body
-    assert "elapsed" in r1.to_json_dict(include_elapsed=True)
 
 
 def test_powers_suite_reports_the_catalan_pair():
@@ -272,7 +293,7 @@ def test_chains_suite_small():
 
 
 def test_classify_suite_small():
-    report = run_suite("classify", bounds={"max_value": 300, "samples": 40}, seed=3)
+    report = run_suite("classify", bounds={"max_value": 300}, seed=3)
     assert report.passed
     (finding,) = report.findings
     pairs = finding["trivial_signature_pairs"]
