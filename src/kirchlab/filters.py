@@ -137,15 +137,15 @@ def compute_A(E: Iterable[int]) -> PrimeSet:
         raise TooSmall("signature scan needs at least two elements")
     odd = primes_upto(elems[-1])
     odd = odd[1:] if len(odd) and odd[0] == 2 else odd
-    # int32 holds every operand (MAX_OPERAND < 2**31) and divides faster;
-    # the residue table is built a block of primes at a time, so its size
-    # stays near _SCAN_CELLS whatever max(E) is
+    # the prime table is int32, which holds every operand (MAX_OPERAND <
+    # 2**31) and divides faster; the residue table is built a block of
+    # primes at a time, so its size stays near _SCAN_CELLS whatever max(E) is
     col = np.array(elems, dtype=np.int32)[:, None]
     step = max(1, _SCAN_CELLS // len(elems))
     keep = []
     for lo in range(0, len(odd), step):
         block = odd[lo:lo + step]
-        r = col % block.astype(np.int32)
+        r = col % block
         keep += block[((r == 0) | (r == r.max(axis=0))).all(axis=0)].tolist()
     return PrimeSet((2, *keep))
 

@@ -644,15 +644,12 @@ MAX_BOUNDS = {
     "gamma": {"bound": MAX_OPERAND, "grid": 160},  # 10**9 160: 7.9-8.7 s
     "zsigmondy": {"max_base": 100, "max_exponent": 140},  # 100 140: 8.1-9.4 s
     "powers": {"limit": 10**13},  # 7.4-10.3 s, 299 MB
-    # 2**29 passes MAX_CHAIN_POWER; the default 50 5 is the slowest
-    "chains": {"max_base": 50, "max_exponent": 28},
+    # max_base ** max_exponent is also at most MAX_OPERAND, the operand cap
+    # of compute_A, which scans every prime up to each x^m; 29 is the largest
+    # n with 2^n within it.  31 6 is the slowest: 6.5 s twice, 339 MB (the
+    # default: 3.7 s, 203 MB; 19 7: 4.9 s; 10 9: 4.6 s; 2 29: 3.8 s)
+    "chains": {"max_base": 50, "max_exponent": 29},
 }
-
-# greatest max_base ** max_exponent of the chains suite, the default's:
-# compute_A scans every prime up to each x^m, so the default takes 11.8-13.2 s
-# and 848 MB (26 6: 12.5 s, 2 28: 10.1 s), and 10 9, whose power nears the
-# operand cap, took 15.6 s and 1.47 GB
-MAX_CHAIN_POWER = 50**5
 
 _SUITES = {
     "closure": _suite_closure,
@@ -678,7 +675,7 @@ def run_suite(name: str, bounds: dict = None, seed: int = 0) -> SuiteReport:
     bounds overrides some of the suite's BOUND_KNOBS, each within its
     BOUND_KNOBS and MAX_BOUNDS entries.  Any other key, the suite's fixed
     SUITE_DEFAULTS entries included, is rejected by name, and so is a chains
-    run whose max_base ** max_exponent passes MAX_CHAIN_POWER; every refusal
+    run whose max_base ** max_exponent passes MAX_OPERAND; every refusal
     comes before any work.  seed drives every randomized phase, making the
     report body reproducible.  A run that checks nothing is an error, never
     a pass.
@@ -702,10 +699,10 @@ def run_suite(name: str, bounds: dict = None, seed: int = 0) -> SuiteReport:
             raise ValueError(f"suite {name}: {knob} must be at most {most}, got {cfg[knob]}")
     if name == "chains":
         power = cfg["max_base"] ** cfg["max_exponent"]
-        if power > MAX_CHAIN_POWER:
+        if power > MAX_OPERAND:
             raise ValueError(
                 f"suite chains: max_base ** max_exponent = {power} "
-                f"must be at most {MAX_CHAIN_POWER}"
+                f"must be at most {MAX_OPERAND}"
             )
     rng = random.Random(seed)
     t0 = time.perf_counter()

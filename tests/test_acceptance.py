@@ -135,7 +135,8 @@ def test_criterion_11_power_chains():
     assert r.passed, r.failures[:3]
     nontrivial = {f["x"] for f in r.findings}
     assert nontrivial == {3, 7, 15, 31}  # exactly the 2^m - 1 shapes
-    _ok(11, "chains: {1} for odd non-Mersenne bases, 1 always present, monotone")
+    assert r.elapsed < 8.0, f"{r.elapsed:.2f}s"
+    _ok(11, f"chains: {{1}} for odd non-Mersenne bases, 1 always present, monotone, {r.elapsed:.2f}s")
 
 
 def test_criterion_12_prime_recovery_from_order_relations():

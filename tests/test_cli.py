@@ -194,10 +194,10 @@ def test_verify_bound_below_minimum_is_a_domain_error(suite, bound, knob):
         (("verify", "zsigmondy", "--bound", 2, 141), "max_exponent must be at most 140"),
         (("verify", "powers", "--bound", 10**13 + 1), "limit must be at most 10000000000000"),
         (("verify", "chains", "--bound", 51, 1), "max_base must be at most 50"),
-        (("verify", "chains", "--bound", 2, 29), "max_exponent must be at most 28"),
+        (("verify", "chains", "--bound", 2, 30), "max_exponent must be at most 29"),
         (
-            ("verify", "chains", "--bound", 27, 6),
-            "max_base ** max_exponent = 387420489 must be at most 312500000",
+            ("verify", "chains", "--bound", 32, 6),
+            "max_base ** max_exponent = 1073741824 must be at most 1000000000",
         ),
     ],
 )

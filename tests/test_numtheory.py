@@ -1,5 +1,13 @@
 """Unit tests for the basic number-theory layer."""
 
+import bisect
+import os
+import subprocess
+import sys
+import tracemalloc
+from functools import lru_cache
+
+import numpy as np
 import pytest
 
 from kirchlab import (
@@ -20,6 +28,7 @@ from kirchlab import (
     primes_upto,
     zsigmondy_inclusion,
 )
+from kirchlab import numtheory
 
 
 def _brute_primes(n):
@@ -37,6 +46,7 @@ def test_primes_upto_matches_reference_sieve():
     assert list(primes_upto(2)) == [2]
     assert list(primes_upto(1)) == []
     assert list(primes_upto(0)) == []
+    assert list(primes_upto(-(10**10))) == []
 
 
 def test_primes_upto_grows_monotonically():
@@ -44,6 +54,69 @@ def test_primes_upto_grows_monotonically():
     big = list(primes_upto(10_000))
     assert big[: len(small)] == small
     assert big[-1] == 9973
+
+
+@lru_cache(maxsize=1)
+def _reference_upto_3e6():
+    return _brute_primes(3_000_000)
+
+
+_EDGE = 1000 + 2 * numtheory._SIEVE_BLOCK  # first block end of a growth from 1000
+
+
+@pytest.mark.parametrize(
+    "limits",
+    [
+        (1000, _EDGE - 1),  # the last block one short of full
+        (1000, _EDGE),  # the growth ends on a block edge
+        (1000, _EDGE + 1),  # a last block of one number
+        (1368, 1018081, 2036162),  # the next growth starts at 37**2; ends on 1009**2; even
+        (2999999,),  # one direct jump from the initial table
+    ],
+    ids=str,
+)
+def test_primes_upto_grows_in_steps_like_a_plain_sieve(monkeypatch, limits):
+    initial = primes_upto(31)
+    monkeypatch.setattr(numtheory, "_primes", initial)
+    monkeypatch.setattr(numtheory, "_limit", 31)
+    ref = _reference_upto_3e6()
+    for limit in limits:
+        got = primes_upto(limit)
+        assert numtheory._limit == limit
+        assert not got.flags.writeable and got.dtype == np.int32
+        for m in (limit, limit - 1, limit // 2 + 1, 961, 31, 2, 1):
+            assert primes_upto(m).tolist() == ref[: bisect.bisect_right(ref, m)], (limit, m)
+
+
+def test_primes_upto_reads_the_table_without_copying_it():
+    # an untyped searchsorted key would cast the whole int32 table to int64
+    primes_upto(10**7)
+    tracemalloc.start()
+    try:
+        primes_upto(10**7 - 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16, peak
+
+
+def test_primes_upto_capacity_at_the_operand_cap():
+    # a fresh process, so ru_maxrss is the growth's own peak
+    code = (
+        "import resource\n"
+        "from kirchlab.numtheory import MAX_OPERAND, primes_upto\n"
+        "t = primes_upto(MAX_OPERAND)\n"
+        "mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024\n"
+        "print(len(t), int(t[-1]), mb)\n"
+    )
+    src = os.path.dirname(os.path.dirname(numtheory.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert r.returncode == 0, r.stderr
+    count, last, mb = r.stdout.split()
+    assert (int(count), int(last)) == (50847534, 999999937)
+    # the documented capacity (module docstring): about 230 MB measured
+    assert float(mb) < 400, mb
 
 
 def test_is_prime_small_values():
@@ -56,6 +129,9 @@ def test_is_prime_larger_witnesses():
     assert is_prime(999_999_937)
     assert not is_prime(999_999_937 - 1)
     assert is_prime(2**31 - 1)
+    # beyond int32, which holds the prime table
+    assert is_prime(4294967311)
+    assert not is_prime(2**32 + 1)
 
 
 def test_prime_factors_recovers_every_integer_up_to_1e5():
@@ -224,6 +300,7 @@ def test_first_prime_in_progression_examples():
     assert first_prime_in_progression(3, 4) == 7  # skips the lower endpoint itself
     assert first_prime_in_progression(1, 10) == 11
     assert first_prime_in_progression(4, 9) == 13
+    assert first_prime_in_progression(1, 999999937) == 9999999371  # tests candidates above 2**31
     with pytest.raises(NotCoprime):
         first_prime_in_progression(2, 4)
     with pytest.raises(SearchBoundExceeded):
