@@ -29,9 +29,8 @@ import numpy as np
 
 from .numtheory import (
     MAX_OPERAND,
-    Congruence,
     PrimeSet,
-    crt_solve,
+    _crt,
     is_prime,
     prime_factors,
     primes_upto,
@@ -147,7 +146,7 @@ def compute_A(E: Iterable[int]) -> PrimeSet:
         block = odd[lo:lo + step]
         r = col % block
         keep += block[((r == 0) | (r == r.max(axis=0))).all(axis=0)].tolist()
-    return PrimeSet((2, *keep))
+    return PrimeSet._trusted((2, *keep))
 
 
 def pair_A(x: int, y: int) -> PrimeSet:
@@ -161,7 +160,7 @@ def pair_A(x: int, y: int) -> PrimeSet:
     if min(x, y) < 1:
         raise ValueError("positive integers only")
     return (
-        PrimeSet((2,))
+        PrimeSet._trusted((2,))
         | prime_factors(x)
         | prime_factors(y)
         | prime_factors(abs(x - y))
@@ -214,7 +213,7 @@ def realize(A, alpha) -> tuple:
             raise BadShape(f"alpha({p}) = {k} out of range [0, {p})")
     odd = [p for p in A if p != 2]
     x = reduce(lambda acc, p: acc * p, odd, 1)
-    y = crt_solve([Congruence(alpha[p] % p, p) for p in A]).residue
+    y, _ = _crt((alpha[p], p) for p in A)
     return tuple(sorted({y, x, 2 * x}))
 
 
@@ -339,9 +338,7 @@ def upset_in_Fprime(E: Iterable[int]) -> tuple:
         return tuple(descriptor((a, p, 2 * p)) for a in range(1, p))
     p, q = label.p, label.q
     am = _descriptor_cached(elems).alpha_map
-    x = crt_solve(
-        [Congruence(1, 2), Congruence(am[p], p), Congruence(am[q], q)]
-    ).residue
+    x, _ = _crt(((1, 2), (am[p], p), (am[q], q)))
     return (descriptor({x, p, 2 * p}), descriptor({x, q, 2 * q}))
 
 
@@ -361,7 +358,7 @@ def primes_from_order(x: int, p_bound: int) -> PrimeSet:
             continue
         if filter_le((1, x), (1, p, 2 * p)) and filter_le((2, x), (2, p, 2 * p)):
             found.append(p)
-    return PrimeSet(tuple(found))
+    return PrimeSet._trusted(tuple(found))
 
 
 def power_chain_equal_set(x: int, n_max: int) -> set:

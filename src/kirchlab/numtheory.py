@@ -20,6 +20,9 @@ from typing import Iterable, Iterator, Optional
 import numpy as np
 
 MAX_OPERAND = 10**9
+# largest operand of is_prime and is_square_free: trial division by the
+# primes up to its square root stays within the table's cap
+MAX_TRIAL_OPERAND = MAX_OPERAND**2
 
 
 class NonCoprimeModuli(ValueError):
@@ -97,8 +100,13 @@ def primes_upto(n: int) -> np.ndarray:
 
 @lru_cache(maxsize=1 << 16)
 def is_prime(n: int) -> bool:
-    """Deterministic primality by trial division up to sqrt(n)."""
+    """Deterministic primality by trial division up to sqrt(n).
+
+    Raises ValueError for n above MAX_TRIAL_OPERAND = 10**18.
+    """
     n = int(n)
+    if n > MAX_TRIAL_OPERAND:
+        raise ValueError(f"primality operands capped at {MAX_TRIAL_OPERAND}, got {n}")
     if n < 2:
         return False
     if n < 4:
@@ -117,7 +125,10 @@ class PrimeSet:
     """A finite set of primes, stored as a strictly increasing tuple.
 
     Construct with ``PrimeSet.of(iterable)`` (sorts and deduplicates) or
-    directly from an already-sorted tuple. Every element is validated.
+    directly from an already-sorted tuple.  Both public constructors
+    validate every element; library code that already holds ascending
+    primes (factorizations, signature scans, unions) builds through the
+    trusted ``_trusted`` path instead.
     """
 
     elements: tuple
@@ -138,6 +149,14 @@ class PrimeSet:
     def of(cls, primes: Iterable[int]) -> "PrimeSet":
         return cls(tuple(sorted({int(p) for p in primes})))
 
+    @classmethod
+    def _trusted(cls, elems: tuple) -> "PrimeSet":
+        # elems: a tuple of ascending primes, as Python ints; not checked
+        self = object.__new__(cls)
+        object.__setattr__(self, "elements", elems)
+        object.__setattr__(self, "_set", frozenset(elems))
+        return self
+
     def __contains__(self, p) -> bool:
         return int(p) in self._set
 
@@ -151,10 +170,10 @@ class PrimeSet:
         return bool(self.elements)
 
     def __or__(self, other: "PrimeSet") -> "PrimeSet":
-        return PrimeSet.of(set(self.elements) | set(other.elements))
+        return PrimeSet._trusted(tuple(sorted(self._set | other._set)))
 
     def issubset(self, other: "PrimeSet") -> bool:
-        return set(self.elements) <= set(other.elements)
+        return self._set <= other._set
 
     def __repr__(self) -> str:
         return f"PrimeSet({{{', '.join(map(str, self.elements))}}})"
@@ -185,14 +204,16 @@ def prime_factors(x: int) -> PrimeSet:
         raise ValueError("positive integers only")
     if x > MAX_OPERAND:
         raise ValueError(f"operands capped at {MAX_OPERAND}")
-    return PrimeSet(_factor_tuple(x))
+    return PrimeSet._trusted(_factor_tuple(x))
 
 
 def is_square_free(b: int) -> bool:
-    """True when no prime square divides b."""
+    """True when no prime square divides b; b is capped at MAX_TRIAL_OPERAND."""
     b = int(b)
     if b < 1:
         raise ValueError("positive integers only")
+    if b > MAX_TRIAL_OPERAND:
+        raise ValueError(f"square-free operands capped at {MAX_TRIAL_OPERAND}, got {b}")
     if b % 4 == 0:
         return False
     for p in primes_upto(math.isqrt(b)):
@@ -222,6 +243,21 @@ class Congruence:
             raise ValueError("residue must lie in [0, modulus)")
 
 
+def _crt(pairs: Iterable[tuple]) -> tuple:
+    # the CRT loop over (residue, modulus) pairs, modulus >= 1: the least
+    # non-negative simultaneous solution and the product of the moduli
+    r, m = 0, 1
+    for residue, modulus in pairs:
+        if math.gcd(m, modulus) != 1:
+            raise NonCoprimeModuli(f"modulus {modulus} shares a factor with {m}")
+        if modulus == 1:
+            continue
+        t = ((residue - r) * pow(m, -1, modulus)) % modulus
+        r += m * t
+        m *= modulus
+    return r, m
+
+
 def crt_solve(congruences: Iterable[Congruence]) -> Congruence:
     """Combine congruences with pairwise coprime moduli into a single one.
 
@@ -229,16 +265,7 @@ def crt_solve(congruences: Iterable[Congruence]) -> Congruence:
     result's modulus is the product of the input moduli and its residue is
     the least non-negative simultaneous solution.
     """
-    r, m = 0, 1
-    for c in congruences:
-        if math.gcd(m, c.modulus) != 1:
-            raise NonCoprimeModuli(f"modulus {c.modulus} shares a factor with {m}")
-        if c.modulus == 1:
-            continue
-        t = ((c.residue - r) * pow(m, -1, c.modulus)) % c.modulus
-        r += m * t
-        m *= c.modulus
-    return Congruence(r, m)
+    return Congruence(*_crt((c.residue, c.modulus) for c in congruences))
 
 
 @dataclass(frozen=True)

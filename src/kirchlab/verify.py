@@ -86,35 +86,53 @@ def closure_oracle(a: int, b: int, z: int) -> bool:
     return True
 
 
+def residue_sets(s) -> dict:
+    """p -> frozenset of the residues s allows mod p, for each prime s mentions."""
+    return {p: frozenset(s.allowed_residues(p)) for p in s.primes_mentioned()}
+
+
 def congruence_set_subset(s1, s2) -> bool:
     """Whether s1 is contained in s2, decided prime by prime.
 
     Exact: a congruence set is the CRT product of its per-prime residue
     sets (all residues at unmentioned primes), so containment holds iff at
     every prime mentioned by s2 the residues achieved by s1 are allowed.
+    Each argument is a CongruenceSet or its residue_sets dict.
     """
-    for p in s2.primes_mentioned():
-        allowed = set(s2.allowed_residues(p))
-        got = s1.allowed_residues(p)
-        if got is None:
-            if len(allowed) < p:
+    got = s1 if isinstance(s1, dict) else residue_sets(s1)
+    allowed = s2 if isinstance(s2, dict) else residue_sets(s2)
+    for p, ok in allowed.items():
+        r = got.get(p)
+        if r is None:
+            if len(ok) < p:
                 return False
-        elif not set(got) <= allowed:
+        elif not r <= ok:
             return False
     return True
 
 
-def _member_of_filter(B: CongruenceSet, dF, extra_pool=()) -> bool:
-    # B belongs to the filter of dF iff some generator of dF fits inside B.
-    # Forcing more primes only shrinks a generator, so the existential over
-    # L' is decided by the maximal choice: all primes of B (plus any extra
-    # pool) outside the signature of dF.
-    pool = set(B.primes_mentioned()) | set(extra_pool)
-    pool = PrimeSet.of(p for p in pool if p not in dF.A)
-    return congruence_set_subset(generator(dF, pool), B)
+def _generator_sets(memo: dict, d, L: tuple) -> dict:
+    # residue_sets(generator(d, L)), built once per (d, L) of the memo: the
+    # oracle asks for the same few generators of each descriptor over and
+    # over.  L is an ascending tuple of primes outside A(d); a descriptor is
+    # a function of its set E, whose tuple hashes faster than d itself.
+    key = (d.E, L)
+    sets = memo.get(key)
+    if sets is None:
+        sets = memo[key] = residue_sets(generator(d, PrimeSet.of(L)))
+    return sets
 
 
-def _oracle_descriptors(dE, dF, extra_pool=()) -> bool:
+def _member_of_filter(memo: dict, B: dict, dF, extra_pool=()) -> bool:
+    # B (residue sets) belongs to the filter of dF iff some generator of dF
+    # fits inside B. Forcing more primes only shrinks a generator, so the
+    # existential over L' is decided by the maximal choice: all primes of B
+    # (plus any extra pool) outside the signature of dF.
+    pool = tuple(sorted(p for p in B.keys() | set(extra_pool) if p not in dF.A))
+    return congruence_set_subset(_generator_sets(memo, dF, pool), B)
+
+
+def _oracle_descriptors(memo: dict, dE, dF, extra_pool=()) -> bool:
     outside = tuple(p for p in dF.A if p not in dE.A)
     # singletons first: when A_F strays outside A_E a one-prime L0 already
     # fails, which keeps the common no-verdict case cheap
@@ -123,8 +141,8 @@ def _oracle_descriptors(dE, dF, extra_pool=()) -> bool:
     for size in range(2, len(outside) + 1):
         choices.extend(combinations(outside, size))
     for L0 in choices:
-        B = generator(dE, L0)
-        if not _member_of_filter(B, dF, extra_pool):
+        B = _generator_sets(memo, dE, L0)
+        if not _member_of_filter(memo, B, dF, extra_pool):
             return False
     return True
 
@@ -142,7 +160,7 @@ def filter_le_oracle(E, F, extra_pool=()) -> bool:
     e, f = _element_tuple(E), _element_tuple(F)
     if min(len(e), len(f)) < 2:
         raise TooSmall("the generator search needs |E|, |F| >= 2")
-    return _oracle_descriptors(_descriptor_cached(e), _descriptor_cached(f), extra_pool)
+    return _oracle_descriptors({}, _descriptor_cached(e), _descriptor_cached(f), extra_pool)
 
 
 # ---------------------------------------------------------------- reports
@@ -252,35 +270,28 @@ def _suite_closure(bounds, rng):
     return checked, rec, []
 
 
-def _pair_grid(n):
-    # all 1 <= x < y <= n as two integer arrays, ordered by x then y
-    rows, cols = np.triu_indices(n, k=1)
-    rows += 1
-    cols += 1
-    return rows, cols
-
-
 def _suite_pairA(bounds, rng):
     n = bounds["max_value"]
     rec = _Recorder()
-    X, Y = _pair_grid(n)
-    D = Y - X
     odd_ps = [int(p) for p in primes_upto(n) if p != 2]
-    # factor table built through the library's factorization route
+    # factor table built through the library's factorization route, and
+    # the residue of every value mod every odd prime for the definition
     table = np.zeros((n + 1, len(odd_ps)), dtype=bool)
     pos = {p: i for i, p in enumerate(odd_ps)}
     for v in range(1, n + 1):
         for p in prime_factors(v):
             if p != 2:
                 table[v, pos[p]] = True
-    for i, p in enumerate(odd_ps):
-        rx, ry = X % p, Y % p
-        col_def = (rx == 0) | (ry == 0) | (rx == ry)
-        col_fac = table[X, i] | table[Y, i] | table[D, i]
-        if not np.array_equal(col_def, col_fac):
-            for j in np.nonzero(col_def != col_fac)[0]:
-                rec.add([int(X[j]), int(Y[j]), p], bool(col_fac[j]), bool(col_def[j]))
-    checked = len(X)
+    residues = np.arange(n + 1)[:, None] % np.array(odd_ps, dtype=np.int64)
+    # one row x at a time over y in (x, n]: y is row x + 1 + j, y - x is j + 1
+    for x in range(1, n):
+        ry = residues[x + 1:]
+        rx = residues[x]
+        col_def = (rx == 0) | (ry == 0) | (ry == rx)
+        col_fac = table[x] | table[x + 1:] | table[1:n - x + 1]
+        for j, i in zip(*np.nonzero(col_def != col_fac)):
+            rec.add([x, x + 1 + int(j), odd_ps[i]], bool(col_fac[j, i]), bool(col_def[j, i]))
+    checked = n * (n - 1) // 2
     for _ in range(bounds["samples"]):
         x = rng.randint(1, n - 1)
         y = rng.randint(x + 1, n)
@@ -354,11 +365,13 @@ def _suite_order(bounds, rng):
     rep_descs = list(reps.values())
     checked = 0
     # both routes are pure functions of the descriptor key, so the key grid
-    # covers the full exhaustive pair space
+    # covers the full exhaustive pair space; the oracle's generators are
+    # memoized over the grid and dropped with it
+    memo = {}
     for dE in rep_descs:
         for dF in rep_descs:
             got = _le_descriptors(dE, dF)
-            want = _oracle_descriptors(dE, dF)
+            want = _oracle_descriptors(memo, dE, dF)
             checked += 1
             if got != want:
                 rec.add([list(dE.E), list(dF.E)], want, got)
@@ -398,18 +411,22 @@ def _suite_order(bounds, rng):
 def _suite_classify(bounds, rng):
     n = bounds["max_value"]
     rec = _Recorder()
-    X, Y = _pair_grid(n)
     # residue rule by stripes: an odd prime p qualifies for {x, y} iff it
     # divides x, y or y - x (rx == ry is p | y - x), so mark multiples once
     odd_div = np.zeros(n + 1, dtype=bool)
     for p in primes_upto(n)[1:]:
         odd_div[::p] = True
-    trivial = ~(odd_div[X] | odd_div[Y] | odd_div[Y - X])  # signature {2}
-    is_pow2 = (X & (X - 1) == 0) & (Y == 2 * X)
-    for j in np.nonzero(trivial != is_pow2)[0]:
-        rec.add([int(X[j]), int(Y[j])], bool(is_pow2[j]), bool(trivial[j]))
-    checked = len(X)
-    flagged = [(int(X[j]), int(Y[j])) for j in np.nonzero(trivial)[0]]
+    flagged = []
+    # one row x at a time over y in (x, n]: y is x + 1 + j, y - x is j + 1
+    for x in range(1, n):
+        trivial = ~(odd_div[x] | odd_div[x + 1:] | odd_div[1:n - x + 1])  # signature {2}
+        is_pow2 = np.zeros(n - x, dtype=bool)
+        if x & (x - 1) == 0 and 2 * x <= n:
+            is_pow2[x - 1] = True  # y = 2x
+        for j in np.nonzero(trivial != is_pow2)[0]:
+            rec.add([x, x + 1 + int(j)], bool(is_pow2[j]), bool(trivial[j]))
+        flagged.extend((x, x + 1 + int(j)) for j in np.nonzero(trivial)[0])
+    checked = n * (n - 1) // 2
     # scalar binding: every flagged pair, plus a random sample
     flag_set = set(flagged)
     sample = list(flagged)
@@ -629,16 +646,18 @@ BOUND_KNOBS = {
 
 # greatest value of each knob; the comments give whole `kirchlab verify`
 # runs at the suite's slowest accepted setting, two each (2 vCPUs, Python
-# 3.11, in spells where the order default took 7.4-7.6 s)
+# 3.11).  pairA, order and classify were measured with the row-streamed
+# pair scans and the memoized order oracle; the others in spells where the
+# order default, not yet memoized, took 7.4-7.6 s
 MAX_BOUNDS = {
     "closure": {"a_max": 400, "b_max": 400},  # 400 400: 8.5-9.6 s
-    "pairA": {"max_value": 1000},  # 2.7-2.9 s, 59 MB
+    "pairA": {"max_value": 1000},  # 0.6 s, 32 MB
     "realize": {},
     # the grid is the square of the distinct descriptors: 393 at the
     # default 30, 479 at 33, 528 at 34
-    "order": {"max_value": 33, "random_max": 1000},  # 33 1000: 10.2-13.0 s
-    # the pair grid holds max_value^2 / 2 pairs as several numpy arrays
-    "classify": {"max_value": 8192},  # 1.7-2.1 s, 894 MB
+    "order": {"max_value": 33, "random_max": 1000},  # 33 1000: 3.0-3.1 s, 72 MB
+    # the pair scan holds one row of at most max_value pairs at a time
+    "classify": {"max_value": 8192},  # 0.4-0.5 s, 32 MB
     "upsets": {"instances": 60_000},  # 6.1-8.8 s
     # the Gamma_p bound is the library's operand cap
     "gamma": {"bound": MAX_OPERAND, "grid": 160},  # 10**9 160: 7.9-8.7 s

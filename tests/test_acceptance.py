@@ -5,6 +5,8 @@ and fails loudly otherwise.  Criteria with stated time budgets assert the
 measured wall-clock of the underlying run.
 """
 
+import hashlib
+import json
 import time
 
 from kirchlab import (
@@ -20,6 +22,22 @@ def _ok(n, msg):
     print(f"criterion {n:2d} PASS — {msg}")
 
 
+# sha256 of the canonical report body (sorted keys) at the default bounds,
+# recorded before the order oracle's generator memo, the trusted PrimeSet
+# path and the row-streamed pair scans; an optimization must keep each one
+REPORT_SHA256 = {
+    "pairA": "ef53a0a23fa436293c709288a80a21adbc2cdbc6e768d9bc13b6ef6cac86fb89",
+    "realize": "3c93264cfb0158404095e0eec9319454da0a79b3217edd78ba1dd50c4c59a46c",
+    "order": "bd13ba54bfabd14fea75e032e0bc1573e2cea8303b2fde6259cd154acb17342a",
+    "classify": "74a6eae9d62459dca6e35fdb4ed9de7cf64fe5d581945e39b5d0526eebf31142",
+}
+
+
+def _digest(report):
+    body = json.dumps(report.to_json_dict(), sort_keys=True)
+    return hashlib.sha256(body.encode()).hexdigest()
+
+
 def test_criterion_01_closure_formula_vs_witness_oracle():
     r = run_suite("closure")
     assert r.bounds["a_max"] == 200 and r.bounds["b_max"] == 200
@@ -33,6 +51,7 @@ def test_criterion_02_pair_signature_identity():
     assert r.bounds["max_value"] == 500
     assert r.passed, r.failures[:3]
     assert r.elapsed < 5.0, f"{r.elapsed:.2f}s"
+    assert _digest(r) == REPORT_SHA256["pairA"]
     _ok(2, f"pair_A == compute_A on all x<y<=500, {r.elapsed:.2f}s")
 
 
@@ -41,6 +60,7 @@ def test_criterion_03_realization_round_trip():
     assert tuple(r.bounds["prime_pool"]) == (2, 3, 5, 7, 11, 13)
     assert r.passed, r.failures[:3]
     assert r.elapsed < 5.0, f"{r.elapsed:.2f}s"
+    assert _digest(r) == REPORT_SHA256["realize"]
     _ok(3, f"all {r.instances_checked} admissible (A, alpha) round-trip, {r.elapsed:.2f}s")
 
 
@@ -49,6 +69,7 @@ def test_criterion_04_order_criterion_vs_generator_oracle():
     assert r.bounds["max_value"] == 30 and r.bounds["random_pairs"] == 500
     assert r.passed, r.failures[:3]
     assert r.elapsed < 60.0, f"{r.elapsed:.2f}s"
+    assert _digest(r) == REPORT_SHA256["order"]
     _ok(4, f"order criterion == generator oracle, {r.instances_checked} comparisons, {r.elapsed:.2f}s")
 
 
@@ -60,6 +81,7 @@ def test_criterion_05_doubleton_scan_finds_only_power_pairs():
     expected = [[2**n, 2 ** (n + 1)] for n in range(12)]  # 1..2 up to 2048..4096
     assert finding["trivial_signature_pairs"] == expected
     assert r.elapsed < 5.0, f"{r.elapsed:.2f}s"
+    assert _digest(r) == REPORT_SHA256["classify"]
     _ok(
         5,
         f"FInfinity doubletons below 4096 are exactly the {len(expected)} power pairs, "

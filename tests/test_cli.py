@@ -199,6 +199,7 @@ def test_verify_bound_below_minimum_is_a_domain_error(suite, bound, knob):
             ("verify", "chains", "--bound", 32, 6),
             "max_base ** max_exponent = 1073741824 must be at most 1000000000",
         ),
+        (("primes", "classify", 10**22 + 1), "capped at 1000000000000000000"),
     ],
 )
 def test_argv_just_over_a_cap_is_a_domain_error(argv, cap):

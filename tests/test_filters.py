@@ -8,6 +8,7 @@ import pytest
 from kirchlab import (
     ALL_PRIMES,
     BadShape,
+    NotPrime,
     OverlapError,
     Overflow,
     PrimeSet,
@@ -187,6 +188,8 @@ def test_realize_rejects_bad_shapes():
         realize(PrimeSet.of((2, 3)), {2: 1, 3: 3})  # residue out of range
     with pytest.raises(BadShape):
         realize(PrimeSet.of((2, 3)), {2: 1, 3: 1, 5: 1})  # alpha off-domain
+    with pytest.raises(NotPrime):
+        realize([2, 9], {2: 1, 9: 1})  # a plain A is validated element by element
 
 
 # ------------------------------------------------------------ generator

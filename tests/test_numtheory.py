@@ -29,6 +29,7 @@ from kirchlab import (
     zsigmondy_inclusion,
 )
 from kirchlab import numtheory
+from kirchlab.numtheory import MAX_OPERAND, MAX_TRIAL_OPERAND
 
 
 def _brute_primes(n):
@@ -194,6 +195,25 @@ def test_prime_set_rejects_non_primes():
         PrimeSet.of((4,))
     with pytest.raises(ValueError):
         PrimeSet.of((1,))
+    with pytest.raises(NotPrime):
+        PrimeSet((4,))
+    with pytest.raises(ValueError, match="strictly increasing"):
+        PrimeSet((5, 3))
+
+
+def test_primality_operands_above_the_cap_are_a_domain_error():
+    assert MAX_TRIAL_OPERAND == MAX_OPERAND**2
+    cap = f"capped at {MAX_TRIAL_OPERAND}"
+    for call in (
+        lambda: is_prime(MAX_TRIAL_OPERAND + 1),
+        lambda: is_prime(10**20),
+        lambda: is_square_free(10**20),
+        lambda: PrimeSet.of([10**19 + 1]),
+    ):
+        with pytest.raises(ValueError, match=cap):
+            call()
+    assert not is_prime(MAX_TRIAL_OPERAND)
+    assert not is_square_free(MAX_TRIAL_OPERAND)
 
 
 def test_crt_examples():

@@ -20,6 +20,7 @@ from kirchlab import (
     generator,
     intersect,
     kirch_basic_open,
+    PrimeSet,
     pair_A,
     prime_factors,
     realize,
@@ -140,6 +141,29 @@ def test_pair_signature_shortcut(x, y):
     if x == y:
         return
     assert pair_A(x, y).elements == compute_A((x, y)).elements
+
+
+def _same_as_validated(s):
+    # a PrimeSet built by a trusted library path equals the one the public
+    # constructor validates from the same elements, down to the int type
+    ref = PrimeSet.of(s.elements)
+    assert s == ref and hash(s) == hash(ref)
+    assert s.elements == ref.elements and all(type(p) is int for p in s.elements)
+    assert set(s) == set(ref) and all(p in s for p in ref)
+
+
+@given(st.integers(1, MAX_OPERAND))
+def test_prime_factors_equals_the_validated_prime_set(x):
+    _same_as_validated(prime_factors(x))
+
+
+@given(small_sets, st.integers(1, 500), st.integers(1, 500))
+def test_signatures_equal_the_validated_prime_set(E, x, y):
+    _same_as_validated(compute_A(E))
+    if x != y:
+        got = pair_A(x, y)
+        _same_as_validated(got)
+        assert got.issubset(compute_A((x, y))) and compute_A((x, y)).issubset(got)
 
 
 @given(small_sets)

@@ -8,6 +8,7 @@ import pytest
 
 from kirchlab import (
     CongruenceSet,
+    PrimeSet,
     SuiteReport,
     TooSmall,
     UnknownSuite,
@@ -298,3 +299,32 @@ def test_classify_suite_small():
     (finding,) = report.findings
     pairs = finding["trivial_signature_pairs"]
     assert pairs == [[1, 2], [2, 4], [4, 8], [8, 16], [16, 32], [32, 64], [64, 128], [128, 256]]
+
+
+def test_order_suite_memo_leaves_no_state_between_runs():
+    bounds = {"max_value": 12, "random_max": 40}
+    first = run_suite("order", bounds).to_json_dict()
+    assert first["passed"]
+    assert run_suite("order", bounds).to_json_dict() == first
+
+
+def test_pair_scans_report_a_broken_route_in_x_then_y_order(monkeypatch):
+    # drop 3 from the factor table of multiples of 9: pairA must flag the
+    # pairs whose definition column for 3 now disagrees, row by row
+    factor = verify.prime_factors
+    monkeypatch.setattr(
+        verify,
+        "prime_factors",
+        lambda v: PrimeSet.of(p for p in factor(v) if v % 9 or p != 3),
+    )
+    report = run_suite("pairA", bounds={"max_value": 60})
+    inputs = [f["input"] for f in report.failures]
+    assert inputs[:3] == [[1, 9, 3], [1, 10, 3], [1, 18, 3]]
+    assert inputs == sorted(inputs)
+    monkeypatch.undo()
+    # without the stripes of 3, classify calls {1, 3}, {1, 4}, ... trivial
+    table = verify.primes_upto
+    monkeypatch.setattr(verify, "primes_upto", lambda n: table(n)[table(n) != 3])
+    report = run_suite("classify", bounds={"max_value": 300})
+    assert report.failure_count == 235
+    assert [f["input"] for f in report.failures[:3]] == [[1, 3], [1, 4], [1, 9]]
