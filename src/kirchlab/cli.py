@@ -14,7 +14,7 @@ from .numtheory import classify_prime
 from .progressions import closure
 from .filters import classify, descriptor, filter_le, realize, upset_in_Fprime
 from .gamma import export_dot, gamma_graph
-from .verify import BOUND_KNOBS, run_suite, suite_names
+from .verify import knobs, run_suite, suite_names
 
 
 def _positive_int(text: str) -> int:
@@ -67,6 +67,9 @@ def _cmd_realize(args) -> int:
     if len(args.primes) != len(args.alpha):
         print("error: --primes and --alpha must have the same length", file=sys.stderr)
         return 2
+    if len(set(args.primes)) != len(args.primes):
+        print("error: --primes must not repeat a prime", file=sys.stderr)
+        return 2
     alpha = dict(zip(args.primes, args.alpha))
     E = realize(args.primes, alpha)
     _emit(descriptor(E).to_json_dict())
@@ -85,15 +88,15 @@ def _cmd_gamma(args) -> int:
 def _cmd_verify(args) -> int:
     bounds = None
     if args.bound:
-        knobs = BOUND_KNOBS[args.suite]
-        if len(args.bound) > len(knobs):
+        names = knobs(args.suite)
+        if len(args.bound) > len(names):
             print(
-                f"error: suite {args.suite!r} takes at most {len(knobs)} --bound values "
-                f"({', '.join(knobs) or 'none'})",
+                f"error: suite {args.suite!r} takes at most {len(names)} --bound values "
+                f"({', '.join(names) or 'none'})",
                 file=sys.stderr,
             )
             return 2
-        bounds = dict(zip(knobs, args.bound))
+        bounds = dict(zip(names, args.bound))
     report = run_suite(args.suite, bounds=bounds, seed=args.seed)
     _emit(report.to_json_dict())
     print(
@@ -177,7 +180,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("suite", choices=suite_names())
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--bound", nargs="+", type=_positive_int, metavar="N")
+    p.add_argument("--bound", nargs="+", type=int, metavar="N")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("primes", help="prime utilities")

@@ -370,6 +370,8 @@ def power_chain_equal_set(x: int, n_max: int) -> set:
     x, n_max = int(x), int(n_max)
     if x < 2 or n_max < 1:
         raise ValueError("need x >= 2 and n_max >= 1")
-    if x**n_max > MAX_OPERAND:
-        raise Overflow(f"x^n_max = {x**n_max} exceeds the capacity {MAX_OPERAND}")
+    # 2^n_max alone passes the cap beyond its bit length: refuse before
+    # building a power of millions of digits
+    if n_max > MAX_OPERAND.bit_length() or x**n_max > MAX_OPERAND:
+        raise Overflow(f"x^n_max = {x}^{n_max} exceeds the capacity {MAX_OPERAND}")
     return {n for n in range(1, n_max + 1) if filter_eq((1, x**n), (1, x))}

@@ -27,12 +27,9 @@ import numpy as np
 
 from .numtheory import (
     MAX_OPERAND,
-    Congruence,
     PrimeSet,
     classify_prime,
     consecutive_perfect_powers,
-    crt_solve,
-    is_prime,
     prime_factors,
     primes_upto,
     zsigmondy_inclusion,
@@ -212,15 +209,22 @@ class _Recorder:
 # ---------------------------------------------------------------- suites
 
 
+def _witness(zs, a, pis):
+    # closure membership from the definition, for each z of zs: every prime
+    # p of b divides z or z - a
+    witness = np.ones(len(zs), dtype=bool)
+    for p in pis:
+        witness &= (zs % p == 0) | ((zs - a) % p == 0)
+    return witness
+
+
 def _suite_closure(bounds, rng):
     a_max, b_max = bounds["a_max"], bounds["b_max"]
     rec = _Recorder()
     checked = 0
     for b in range(1, b_max + 1):
-        pis = tuple(int(p) for p in prime_factors(b))
-        rad = 1
-        for p in pis:
-            rad *= p
+        pis = prime_factors(b).elements
+        rad = math.prod(pis)
         zs = np.arange(1, rad + 1, dtype=np.int64)
         for a in range(1, a_max + 1):
             cs = closure(a, b)
@@ -230,9 +234,7 @@ def _suite_closure(bounds, rng):
             for p, k in cs.two_class_constraints:
                 r = zs % p
                 formula &= (r == 0) | (r == k)
-            witness = np.ones(rad, dtype=bool)
-            for p in pis:
-                witness &= (zs % p == 0) | ((zs - a) % p == 0)
+            witness = _witness(zs, a, pis)
             checked += rad
             if not np.array_equal(formula, witness):
                 for z in zs[formula != witness]:
@@ -241,10 +243,7 @@ def _suite_closure(bounds, rng):
     for _ in range(bounds["samples"]):
         a = rng.randint(1, a_max)
         b = rng.randint(1, b_max)
-        rad = 1
-        for p in prime_factors(b):
-            rad *= p
-        z = rng.randint(1, 4 * rad)
+        z = rng.randint(1, 4 * math.prod(prime_factors(b)))
         got = closure(a, b).contains(z)
         want = closure_oracle(a, b, z)
         checked += 1
@@ -254,15 +253,12 @@ def _suite_closure(bounds, rng):
     # up to twice rad(b) wide and anywhere below the operand cap, so that
     # some primes join the CRT modulus and some filter its candidates
     for b in range(1, b_max + 1):
-        pis = tuple(int(p) for p in prime_factors(b))
+        pis = prime_factors(b).elements
         a = rng.randint(1, a_max)
         width = rng.randint(1, 2 * math.prod(pis))
         lo = rng.randint(2, MAX_OPERAND - width + 1)
         zs = np.arange(lo, lo + width, dtype=np.int64)
-        witness = np.ones(width, dtype=bool)
-        for p in pis:
-            witness &= (zs % p == 0) | ((zs - a) % p == 0)
-        want = zs[witness].tolist()
+        want = zs[_witness(zs, a, pis)].tolist()
         got = closure(a, b).members(lo, lo + width - 1)
         checked += width
         if got != want:
@@ -334,16 +330,6 @@ def _random_set(rng, max_value, sizes):
     return tuple(sorted(rng.sample(range(1, max_value + 1), rng.choice(sizes))))
 
 
-def _next_odd_primes(after: int, count: int) -> tuple:
-    out = []
-    p = after
-    while len(out) < count:
-        p += 1
-        if p % 2 and is_prime(p):
-            out.append(p)
-    return tuple(out)
-
-
 def _descriptor_key(d):
     # what the filter order reads of a descriptor: A, and Pi and alpha off 2
     return (
@@ -375,30 +361,25 @@ def _suite_order(bounds, rng):
             checked += 1
             if got != want:
                 rec.add([list(dE.E), list(dF.E)], want, got)
-    # raw sample binding the key factoring to the public entry points
-    for _ in range(bounds["raw_samples"]):
-        E = _random_set(rng, n, sizes)
-        F = _random_set(rng, n, sizes)
-        checked += 1
-        got = filter_le(E, F)
-        want = filter_le_oracle(E, F)
-        if got != want:
-            rec.add([list(E), list(F)], want, got)
+    # raw samples binding the key factoring to the public entry points, then
     # random pairs over a wider element range
-    for _ in range(bounds["random_pairs"]):
-        E = _random_set(rng, bounds["random_max"], sizes)
-        F = _random_set(rng, bounds["random_max"], sizes)
-        checked += 1
-        got = filter_le(E, F)
-        want = filter_le_oracle(E, F)
-        if got != want:
-            rec.add([list(E), list(F)], want, got)
+    phases = ((n, bounds["raw_samples"]), (bounds["random_max"], bounds["random_pairs"]))
+    for max_value, count in phases:
+        for _ in range(count):
+            E = _random_set(rng, max_value, sizes)
+            F = _random_set(rng, max_value, sizes)
+            checked += 1
+            got = filter_le(E, F)
+            want = filter_le_oracle(E, F)
+            if got != want:
+                rec.add([list(E), list(F)], want, got)
     # pool widening must never change oracle verdicts
     for _ in range(bounds["widen_samples"]):
         E = _random_set(rng, bounds["random_max"], sizes)
         F = _random_set(rng, bounds["random_max"], sizes)
         hi = max(max(E), max(F), 100)
-        extra = _next_odd_primes(2 * hi, 3)
+        primes = primes_upto(4 * hi)  # holds three primes above 2 * hi (Bertrand)
+        extra = tuple(int(p) for p in primes[primes > 2 * hi][:3])
         checked += 1
         base = filter_le_oracle(E, F)
         wide = filter_le_oracle(E, F, extra_pool=extra)
@@ -463,8 +444,7 @@ def _suite_upsets(bounds, rng):
     for _ in range(bounds["instances"]):
         p, q = sorted(rng.sample(odd_small, 2))
         ap, aq = rng.randint(1, p - 1), rng.randint(1, q - 1)
-        x = crt_solve([Congruence(1, 2), Congruence(ap, p), Congruence(aq, q)]).residue
-        E = tuple(sorted({x, p * q, 2 * p * q}))
+        E = realize((2, p, q), {2: 1, p: ap, q: aq})
         lab = classify(E)
         up = upset_in_Fprime(E)
         checked += 1
@@ -487,10 +467,7 @@ def _suite_upsets(bounds, rng):
     corpus = [(3, 6), (6, 12), (12, 24)] + [(r, 2 * r) for r in plist if r != 3]
     for p, q in combinations(plist, 2):
         for ap, aq in ((1, 1), (p - 1, q - 1)):
-            x = crt_solve(
-                [Congruence(1, 2), Congruence(ap, p), Congruence(aq, q)]
-            ).residue
-            corpus.append(tuple(sorted({x, p * q, 2 * p * q})))
+            corpus.append(realize((2, p, q), {2: 1, p: ap, q: aq}))
     for E in corpus:
         up_keys = {_descriptor_key(d) for d in upset_in_Fprime(E)}
         disjoint = all(not (up_keys & ref) for ref in ref_keys.values())
@@ -606,81 +583,75 @@ def _suite_chains(bounds, rng):
     return checked, rec, findings
 
 
-SUITE_DEFAULTS = {
-    "closure": {"a_max": 200, "b_max": 200, "samples": 2000},
-    "pairA": {"max_value": 500, "samples": 300},
-    "realize": {"prime_pool": (2, 3, 5, 7, 11, 13)},
-    "order": {
-        "max_value": 30,
-        "sizes": (2, 3),
-        "raw_samples": 300,
-        "random_pairs": 500,
-        "random_max": 100,
-        "widen_samples": 100,
-    },
-    "classify": {"max_value": 4096, "samples": 800},
-    "upsets": {"prime_list": (3, 5, 7, 11, 13), "instances": 20},
-    "gamma": {"prime_list": (3, 5, 7, 11, 13, 17, 31), "bound": 10**6, "grid": 20},
-    "zsigmondy": {"max_base": 30, "max_exponent": 30},
-    "powers": {"limit": 10**6},
-    "chains": {"max_base": 50, "max_exponent": 5},
-}
+@dataclass(frozen=True)
+class Knob:
+    """A suite parameter that `verify --bound` sets: its default and range.
 
-# the knobs `verify --bound` fills, in its positional order, each with its
-# least value: below it a suite checks nothing, or a phase has no range to
-# draw from (the powers suite expects the pair 8, 9; order draws sets of up
-# to max(sizes) = 3 elements from [1, max_value] and [1, random_max]).  The
-# other SUITE_DEFAULTS entries are fixed.
-BOUND_KNOBS = {
-    "closure": {"a_max": 1, "b_max": 1},
-    "pairA": {"max_value": 2},
-    "realize": {},
-    "order": {"max_value": 3, "random_max": 3},
-    "classify": {"max_value": 2},
-    "upsets": {"instances": 0},
-    "gamma": {"bound": 1, "grid": 1},
-    "zsigmondy": {"max_base": 2, "max_exponent": 2},
-    "powers": {"limit": 9},
-    "chains": {"max_base": 2, "max_exponent": 1},
-}
+    least is the least useful value: below it a suite checks nothing, or a
+    phase has no range to draw from.  most keeps the suite's slowest
+    accepted setting near 10 s (2 vCPUs, Python 3.11).
+    """
 
-# greatest value of each knob; the comments give whole `kirchlab verify`
-# runs at the suite's slowest accepted setting, two each (2 vCPUs, Python
-# 3.11).  pairA, order and classify were measured with the row-streamed
-# pair scans and the memoized order oracle; the others in spells where the
-# order default, not yet memoized, took 7.4-7.6 s
-MAX_BOUNDS = {
-    "closure": {"a_max": 400, "b_max": 400},  # 400 400: 8.5-9.6 s
-    "pairA": {"max_value": 1000},  # 0.6 s, 32 MB
-    "realize": {},
-    # the grid is the square of the distinct descriptors: 393 at the
-    # default 30, 479 at 33, 528 at 34
-    "order": {"max_value": 33, "random_max": 1000},  # 33 1000: 3.0-3.1 s, 72 MB
-    # the pair scan holds one row of at most max_value pairs at a time
-    "classify": {"max_value": 8192},  # 0.4-0.5 s, 32 MB
-    "upsets": {"instances": 60_000},  # 6.1-8.8 s
-    # the Gamma_p bound is the library's operand cap
-    "gamma": {"bound": MAX_OPERAND, "grid": 160},  # 10**9 160: 7.9-8.7 s
-    "zsigmondy": {"max_base": 100, "max_exponent": 140},  # 100 140: 8.1-9.4 s
-    "powers": {"limit": 10**13},  # 7.4-10.3 s, 299 MB
+    default: int
+    least: int
+    most: int
+
+
+# one row per suite: name -> (suite function, {param: value}).  A Knob is a
+# param that `verify --bound` sets, positionally in row order; every other
+# param is fixed.  The params keep the order of a report's `bounds` body.
+# Comments give whole `kirchlab verify` runs at the slowest accepted setting.
+_SUITES = {
+    "closure": (
+        _suite_closure,
+        {"a_max": Knob(200, 1, 400), "b_max": Knob(200, 1, 400), "samples": 2000},
+    ),  # 400 400: 8.5-9.6 s
+    # 1000: 0.6 s, 32 MB
+    "pairA": (_suite_pairA, {"max_value": Knob(500, 2, 1000), "samples": 300}),
+    "realize": (_suite_realize, {"prime_pool": (2, 3, 5, 7, 11, 13)}),
+    # order draws sets of up to max(sizes) = 3 elements from [1, max_value]
+    # and [1, random_max].  The grid is the square of the distinct
+    # descriptors: 393 at the default 30, 479 at 33, 528 at 34.  33 1000:
+    # 3.0-3.1 s, 72 MB
+    "order": (
+        _suite_order,
+        {
+            "max_value": Knob(30, 3, 33),
+            "sizes": (2, 3),
+            "raw_samples": 300,
+            "random_pairs": 500,
+            "random_max": Knob(100, 3, 1000),
+            "widen_samples": 100,
+        },
+    ),
+    # the pair scan holds one row of at most max_value pairs at a time; 8192:
+    # 0.4-0.5 s, 32 MB
+    "classify": (_suite_classify, {"max_value": Knob(4096, 2, 8192), "samples": 800}),
+    "upsets": (
+        _suite_upsets,
+        {"prime_list": (3, 5, 7, 11, 13), "instances": Knob(20, 0, 60_000)},
+    ),  # 60000: 6.1-8.8 s
+    # the Gamma_p bound is the library's operand cap; 10**9 160: 7.9-8.7 s
+    "gamma": (
+        _suite_gamma,
+        {
+            "prime_list": (3, 5, 7, 11, 13, 17, 31),
+            "bound": Knob(10**6, 1, MAX_OPERAND),
+            "grid": Knob(20, 1, 160),
+        },
+    ),
+    "zsigmondy": (
+        _suite_zsigmondy,
+        {"max_base": Knob(30, 2, 100), "max_exponent": Knob(30, 2, 140)},
+    ),  # 100 140: 8.1-9.4 s
+    # the least limit holds the pair 8, 9 that the suite expects; 10**13:
+    # 7.4-10.3 s, 299 MB
+    "powers": (_suite_powers, {"limit": Knob(10**6, 9, 10**13)}),
     # max_base ** max_exponent is also at most MAX_OPERAND, the operand cap
     # of compute_A, which scans every prime up to each x^m; 29 is the largest
     # n with 2^n within it.  31 6 is the slowest: 6.5 s twice, 339 MB (the
     # default: 3.7 s, 203 MB; 19 7: 4.9 s; 10 9: 4.6 s; 2 29: 3.8 s)
-    "chains": {"max_base": 50, "max_exponent": 29},
-}
-
-_SUITES = {
-    "closure": _suite_closure,
-    "pairA": _suite_pairA,
-    "realize": _suite_realize,
-    "order": _suite_order,
-    "classify": _suite_classify,
-    "upsets": _suite_upsets,
-    "gamma": _suite_gamma,
-    "zsigmondy": _suite_zsigmondy,
-    "powers": _suite_powers,
-    "chains": _suite_chains,
+    "chains": (_suite_chains, {"max_base": Knob(50, 2, 50), "max_exponent": Knob(5, 1, 29)}),
 }
 
 
@@ -688,20 +659,24 @@ def suite_names() -> tuple:
     return tuple(_SUITES)
 
 
+def knobs(name: str) -> dict:
+    """The Knobs of suite name, by param, in `verify --bound`'s positional order."""
+    if name not in _SUITES:
+        raise UnknownSuite(f"unknown suite {name!r}; expected one of {', '.join(_SUITES)}")
+    return {k: v for k, v in _SUITES[name][1].items() if isinstance(v, Knob)}
+
+
 def run_suite(name: str, bounds: dict = None, seed: int = 0) -> SuiteReport:
     """Run one registered suite and return its report.
 
-    bounds overrides some of the suite's BOUND_KNOBS, each within its
-    BOUND_KNOBS and MAX_BOUNDS entries.  Any other key, the suite's fixed
-    SUITE_DEFAULTS entries included, is rejected by name, and so is a chains
-    run whose max_base ** max_exponent passes MAX_OPERAND; every refusal
-    comes before any work.  seed drives every randomized phase, making the
-    report body reproducible.  A run that checks nothing is an error, never
-    a pass.
+    bounds overrides some of the suite's knobs(name), each within its least
+    and most value.  Any other key, the suite's fixed params in the _SUITES
+    table included, is rejected by name, and so is a chains run whose
+    max_base ** max_exponent passes MAX_OPERAND; every refusal comes before
+    any work.  seed drives every randomized phase, making the report body
+    reproducible.  A run that checks nothing is an error, never a pass.
     """
-    if name not in _SUITES:
-        raise UnknownSuite(f"unknown suite {name!r}; expected one of {', '.join(_SUITES)}")
-    settable = BOUND_KNOBS[name]
+    settable = knobs(name)
     bounds = bounds or {}
     fixed = sorted(set(bounds) - set(settable))
     if fixed:
@@ -709,13 +684,14 @@ def run_suite(name: str, bounds: dict = None, seed: int = 0) -> SuiteReport:
             f"suite {name}: cannot set {', '.join(fixed)}; "
             f"settable knobs: {', '.join(settable) or 'none'}"
         )
-    cfg = {**SUITE_DEFAULTS[name], **bounds}
-    for knob, least in settable.items():
-        if cfg[knob] < least:
-            raise ValueError(f"suite {name}: {knob} must be at least {least}, got {cfg[knob]}")
-        most = MAX_BOUNDS[name][knob]
-        if cfg[knob] > most:
-            raise ValueError(f"suite {name}: {knob} must be at most {most}, got {cfg[knob]}")
+    suite, params = _SUITES[name]
+    cfg = {k: v.default if isinstance(v, Knob) else v for k, v in params.items()}
+    cfg.update(bounds)
+    for knob, k in settable.items():
+        if cfg[knob] < k.least:
+            raise ValueError(f"suite {name}: {knob} must be at least {k.least}, got {cfg[knob]}")
+        if cfg[knob] > k.most:
+            raise ValueError(f"suite {name}: {knob} must be at most {k.most}, got {cfg[knob]}")
     if name == "chains":
         power = cfg["max_base"] ** cfg["max_exponent"]
         if power > MAX_OPERAND:
@@ -725,7 +701,7 @@ def run_suite(name: str, bounds: dict = None, seed: int = 0) -> SuiteReport:
             )
     rng = random.Random(seed)
     t0 = time.perf_counter()
-    checked, rec, findings = _SUITES[name](cfg, rng)
+    checked, rec, findings = suite(cfg, rng)
     elapsed = time.perf_counter() - t0
     if checked == 0:
         raise ValueError(f"suite {name}: bounds {cfg} leave no instance to check")

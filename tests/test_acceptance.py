@@ -52,7 +52,11 @@ def test_criterion_02_pair_signature_identity():
     assert r.passed, r.failures[:3]
     assert r.elapsed < 5.0, f"{r.elapsed:.2f}s"
     assert _digest(r) == REPORT_SHA256["pairA"]
-    _ok(2, f"pair_A == compute_A on all x<y<=500, {r.elapsed:.2f}s")
+    _ok(
+        2,
+        f"pair factor formula == residue rule on all x<y<=500, "
+        f"pair_A == compute_A on {r.bounds['samples']} samples, {r.elapsed:.2f}s",
+    )
 
 
 def test_criterion_03_realization_round_trip():

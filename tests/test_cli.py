@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kirchlab import cli, descriptor
-from kirchlab.verify import BOUND_KNOBS, suite_names
+from kirchlab.verify import knobs, suite_names
 
 CMD = [sys.executable, "-m", "kirchlab"]
 
@@ -103,6 +103,14 @@ def test_realize_mismatched_lists():
     assert r.returncode == 2
 
 
+@pytest.mark.parametrize("alpha", ["1,1,2", "1,2,1"])
+def test_realize_repeated_prime_is_a_usage_error(alpha):
+    r = run_cli("realize", "--primes", "2,3,3", "--alpha", alpha)
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert "repeat" in r.stderr
+
+
 def test_gamma_dot():
     r = run_cli("gamma", 11, "--bound", 25, "--format", "dot")
     assert r.returncode == 0
@@ -164,6 +172,7 @@ def test_verify_bound_arity_checked():
         ("order", (1,), "max_value"),
         ("zsigmondy", (1, 1), "max_base"),
         ("chains", (1, 1), "max_base"),
+        ("gamma", (0,), "bound"),
     ],
 )
 def test_verify_bound_below_minimum_is_a_domain_error(suite, bound, knob):
@@ -172,6 +181,14 @@ def test_verify_bound_below_minimum_is_a_domain_error(suite, bound, knob):
     assert r.stdout == ""
     assert knob in r.stderr
     assert "randrange" not in r.stderr and "Sample larger" not in r.stderr
+
+
+def test_verify_bound_at_a_least_value_of_zero_runs():
+    r = run_cli("verify", "upsets", "--bound", 0)
+    assert r.returncode == 0
+    doc = json.loads(r.stdout)
+    assert doc["bounds"]["instances"] == 0
+    assert doc["passed"] and doc["instances_checked"] > 0
 
 
 @pytest.mark.parametrize(
@@ -329,12 +346,12 @@ def small_argv(draw):
         argv += ["--format", draw(st.sampled_from(("dot", "json")))]
     elif command == "verify":
         suite = draw(st.sampled_from(suite_names()))
-        knobs = BOUND_KNOBS[suite]
+        settable = knobs(suite)
         argv = ["verify", suite, "--seed", str(draw(st.integers(-1, 5))), "--bound"]
-        for least in knobs.values():
+        for knob in settable.values():
             # from just below the knob's least value to a little above it
-            argv.append(str(draw(st.integers(max(1, least - 1), least + 3))))
-        if not knobs or draw(st.booleans()):
+            argv.append(str(draw(st.integers(knob.least - 1, knob.least + 3))))
+        if not settable or draw(st.booleans()):
             argv.append("1")  # one value too many: a usage error
     elif command == "primes":
         argv = ["primes", "classify", draw(_OPERAND)]

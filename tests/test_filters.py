@@ -2,6 +2,7 @@
 
 import json
 import random
+import time
 
 import pytest
 
@@ -337,3 +338,10 @@ def test_power_chain_examples():
 def test_power_chain_overflow():
     with pytest.raises(Overflow):
         power_chain_equal_set(64, 5)
+
+
+def test_power_chain_refuses_a_huge_exponent_before_building_the_power():
+    t0 = time.perf_counter()
+    with pytest.raises(Overflow, match=r"3\^100000000 exceeds"):
+        power_chain_equal_set(3, 10**8)
+    assert time.perf_counter() - t0 < 1.0

@@ -2,7 +2,9 @@
 
 import json
 import random
+import re
 import time
+from pathlib import Path
 
 import pytest
 
@@ -22,7 +24,7 @@ from kirchlab import (
     suite_names,
     verify,
 )
-from kirchlab.verify import BOUND_KNOBS, MAX_BOUNDS, SUITE_DEFAULTS
+from kirchlab.verify import Knob, knobs
 
 
 # ------------------------------------------------------------ closure oracle
@@ -177,10 +179,11 @@ def test_bounds_below_their_minimum_are_rejected():
     ],
 )
 def test_fixed_knobs_are_refused_by_name(name, knob):
-    # refused even at its default value: only BOUND_KNOBS can be set
-    settable = ", ".join(BOUND_KNOBS[name]) or "none"
+    # refused even at its default value: only the knobs can be set
+    settable = ", ".join(knobs(name)) or "none"
+    _, params = verify._SUITES[name]
     with pytest.raises(ValueError, match=f"cannot set {knob}; settable knobs: {settable}$"):
-        run_suite(name, bounds={knob: SUITE_DEFAULTS[name][knob]})
+        run_suite(name, bounds={knob: params[knob]})
 
 
 @pytest.mark.parametrize(
@@ -197,7 +200,7 @@ def test_fixed_knobs_are_refused_by_name(name, knob):
 def test_malformed_tuple_knobs_are_rejected_by_name(name, bounds, defect):
     # each value is malformed as `defect` says; the tuple knobs are fixed, so
     # the refusal names the knob before its value reaches the suite
-    (knob,) = set(bounds) - set(BOUND_KNOBS[name])
+    (knob,) = set(bounds) - set(knobs(name))
     with pytest.raises(ValueError, match=f"suite {name}: cannot set {knob};") as info:
         run_suite(name, bounds=bounds)
     assert type(info.value) is ValueError
@@ -218,7 +221,7 @@ def test_malformed_tuple_knobs_are_rejected_by_name(name, bounds, defect):
 def test_tuple_knobs_asking_for_unbounded_work_are_refused(name, bounds, work):
     # each value asks for the work `work` names; it is refused by the knob's
     # name before any work, so far inside the time guard
-    (knob,) = set(bounds) - set(BOUND_KNOBS[name])
+    (knob,) = set(bounds) - set(knobs(name))
     t0 = time.perf_counter()
     with pytest.raises(ValueError, match=f"suite {name}: cannot set {knob};"):
         run_suite(name, bounds=bounds)
@@ -226,15 +229,39 @@ def test_tuple_knobs_asking_for_unbounded_work_are_refused(name, bounds, work):
 
 
 def test_every_settable_knob_has_a_cap_that_admits_its_default():
-    assert MAX_BOUNDS.keys() == BOUND_KNOBS.keys() == set(suite_names())
     for name in suite_names():
-        assert MAX_BOUNDS[name].keys() == BOUND_KNOBS[name].keys()
-        for knob, least in BOUND_KNOBS[name].items():
-            assert least <= SUITE_DEFAULTS[name][knob] <= MAX_BOUNDS[name][knob]
+        for knob in knobs(name).values():
+            assert knob.least <= knob.default <= knob.most
+
+
+_SUPERSCRIPT_DIGITS = str.maketrans("⁰¹²³⁴⁵⁶⁷⁸⁹", "0123456789")
+
+
+def _readme_number(text):
+    # README writes "60 000" and "10⁹"
+    if not text.isascii():
+        return 10 ** int(text.removeprefix("10").translate(_SUPERSCRIPT_DIGITS))
+    return int(text.replace(" ", ""))
+
+
+def test_readme_knob_table_matches_the_suite_table():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme[readme.index("| suite "):].splitlines()[2 : 2 + len(suite_names())]
+    cells = [line.split("|")[1:3] for line in table]
+    assert [suite.strip() for suite, _ in cells] == list(suite_names())
+    number = "([0-9][0-9 ]*|10[⁰¹²³⁴⁵⁶⁷⁸⁹]+)"
+    knob_re = re.compile(rf"`(\w+)` {number}–{number} \({number}\)")
+    for suite, row in cells:
+        documented = {
+            k: Knob(_readme_number(d), _readme_number(lo), _readme_number(hi))
+            for k, lo, hi, d in knob_re.findall(row)
+        }
+        assert list(documented.items()) == list(knobs(suite.strip()).items()), suite
 
 
 def test_a_suite_that_checks_nothing_is_an_error(monkeypatch):
-    monkeypatch.setitem(verify._SUITES, "powers", lambda bounds, rng: (0, verify._Recorder(), []))
+    checks_nothing = (lambda bounds, rng: (0, verify._Recorder(), []), verify._SUITES["powers"][1])
+    monkeypatch.setitem(verify._SUITES, "powers", checks_nothing)
     with pytest.raises(ValueError, match="no instance to check"):
         run_suite("powers")
 
