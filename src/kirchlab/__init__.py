@@ -30,7 +30,6 @@ from .progressions import (
     Progression,
     closure,
     intersect,
-    kirch_basic_open,
     progressions_intersect,
 )
 from .filters import (

@@ -59,6 +59,9 @@ class Overflow(ValueError):
 
 
 MAX_UPSET_PRIME = 10**4  # largest p whose case-1 up-set (p - 1 descriptors) is listed
+# largest clamped p_bound of primes_from_order: each prime p costs the
+# descriptors of {1, p, 2p} and {2, p, 2p}; (999999937, 2 * 10**5): 8.9 s, 245 MB
+MAX_ORDER_BOUND = 2 * 10**5
 _SCAN_CELLS = 1 << 16  # residues compute_A holds at once
 
 
@@ -347,18 +350,23 @@ def primes_from_order(x: int, p_bound: int) -> PrimeSet:
 
     p | x  iff  filter({1,x}) <= filter({1,p,2p}) and
                 filter({2,x}) <= filter({2,p,2p}).
+
+    p_bound is clamped to x, as no prime above x divides it.  Raises
+    Overflow for x above MAX_OPERAND or a clamped p_bound above
+    MAX_ORDER_BOUND.
     """
     x = int(x)
     if x < 3:
         raise ValueError("need x >= 3")
-    found = []
-    for p in primes_upto(int(p_bound)):
-        p = int(p)
-        if p == 2:
-            continue
-        if filter_le((1, x), (1, p, 2 * p)) and filter_le((2, x), (2, p, 2 * p)):
-            found.append(p)
-    return PrimeSet._trusted(tuple(found))
+    if x > MAX_OPERAND:
+        raise Overflow(f"x capped at {MAX_OPERAND}")
+    p_bound = min(int(p_bound), x)
+    if p_bound > MAX_ORDER_BOUND:
+        raise Overflow(f"p_bound capped at {MAX_ORDER_BOUND}, got {p_bound}")
+    odd = primes_upto(p_bound)[1:].tolist()
+    return PrimeSet._trusted(tuple(
+        p for p in odd if filter_le((1, x), (1, p, 2 * p)) and filter_le((2, x), (2, p, 2 * p))
+    ))
 
 
 def power_chain_equal_set(x: int, n_max: int) -> set:
@@ -370,6 +378,8 @@ def power_chain_equal_set(x: int, n_max: int) -> set:
     x, n_max = int(x), int(n_max)
     if x < 2 or n_max < 1:
         raise ValueError("need x >= 2 and n_max >= 1")
+    if x > MAX_OPERAND:  # before x is formatted in full below
+        raise Overflow(f"x capped at {MAX_OPERAND}")
     # 2^n_max alone passes the cap beyond its bit length: refuse before
     # building a power of millions of digits
     if n_max > MAX_OPERAND.bit_length() or x**n_max > MAX_OPERAND:

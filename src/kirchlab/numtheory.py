@@ -9,6 +9,9 @@ grown on demand by a segmented odds-only sieve that strikes only the new
 range.  Operands are capped at MAX_OPERAND = 10**9: growing the table to
 that size takes 3-4.5 s on a 2-vCPU host and peaks at about 230 MB RSS (the
 table is 203 MB of it), which is the documented capacity of this module.
+
+Trial division (is_prime, prime_factors, is_square_free) is one scan that
+grows the table only on reaching its end: a small divisor needs no sieve.
 """
 from __future__ import annotations
 
@@ -98,26 +101,41 @@ def primes_upto(n: int) -> np.ndarray:
     return _primes[:idx]
 
 
+def _prime_powers(n: int) -> Iterator[tuple]:
+    # (p, e) for each prime power p**e exactly dividing n >= 1, ascending;
+    # reads the table in stages of Python ints, doubling up to 4096 primes,
+    # and grows it (doubling) only when the scan passes its end
+    i, size, p = 0, 16, 0
+    while p * p <= n:
+        if i == len(_primes):
+            if (_limit + 1) ** 2 > n:
+                break
+            primes_upto(_limit + 1)
+        stage = _primes[i:i + size].tolist()
+        i, size = i + len(stage), min(2 * size, 4096)
+        for p in stage:
+            if p * p > n:
+                break
+            if n % p == 0:
+                e = 0
+                while n % p == 0:
+                    n //= p
+                    e += 1
+                yield p, e
+    if n > 1:
+        yield n, 1
+
+
 @lru_cache(maxsize=1 << 16)
 def is_prime(n: int) -> bool:
-    """Deterministic primality by trial division up to sqrt(n).
+    """Deterministic primality by trial division, stopping at n's least prime divisor.
 
     Raises ValueError for n above MAX_TRIAL_OPERAND = 10**18.
     """
     n = int(n)
     if n > MAX_TRIAL_OPERAND:
         raise ValueError(f"primality operands capped at {MAX_TRIAL_OPERAND}, got {n}")
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    for p in primes_upto(math.isqrt(n)):
-        p = int(p)  # n may pass 2**31, which an int32 scalar cannot take
-        if n % p == 0:
-            return n == p
-    return True
+    return n >= 2 and next(_prime_powers(n)) == (n, 1)
 
 
 @dataclass(frozen=True)
@@ -181,20 +199,7 @@ class PrimeSet:
 
 @lru_cache(maxsize=1 << 16)
 def _factor_tuple(x: int) -> tuple:
-    out = []
-    rem = x
-    if x >= 4:
-        for p in primes_upto(math.isqrt(x)):
-            p = int(p)
-            if p * p > rem:
-                break
-            if rem % p == 0:
-                out.append(p)
-                while rem % p == 0:
-                    rem //= p
-    if rem > 1:
-        out.append(rem)
-    return tuple(out)
+    return tuple(p for p, _ in _prime_powers(x))
 
 
 def prime_factors(x: int) -> PrimeSet:
@@ -214,13 +219,7 @@ def is_square_free(b: int) -> bool:
         raise ValueError("positive integers only")
     if b > MAX_TRIAL_OPERAND:
         raise ValueError(f"square-free operands capped at {MAX_TRIAL_OPERAND}, got {b}")
-    if b % 4 == 0:
-        return False
-    for p in primes_upto(math.isqrt(b)):
-        p = int(p)
-        if b % (p * p) == 0:
-            return False
-    return True
+    return all(e == 1 for _, e in _prime_powers(b))
 
 
 def are_coprime(x: int, y: int) -> bool:

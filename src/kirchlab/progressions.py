@@ -38,7 +38,6 @@ class Progression:
 
     a: int
     b: int
-    kirch_basic: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "a", int(self.a))
@@ -46,21 +45,14 @@ class Progression:
         if self.a < 1 or self.b < 1:
             raise ValueError("need a >= 1 and b >= 1")
 
+    @property
+    def kirch_basic(self) -> bool:
+        """Whether this is a basic open set: b square-free and coprime to a."""
+        return math.gcd(self.a, self.b) == 1 and is_square_free(self.b)
+
     def __contains__(self, z) -> bool:
         z = int(z)
         return z >= self.a and (z - self.a) % self.b == 0
-
-
-def kirch_basic_open(a: int, b: int) -> Progression:
-    """Build a + b*N0, flagging whether it is a basic open set.
-
-    The flag is set exactly when b is square-free and coprime to a;
-    construction itself succeeds for any positive a, b.
-    """
-    a, b = int(a), int(b)
-    if a < 1 or b < 1:
-        raise ValueError("need a >= 1 and b >= 1")
-    return Progression(a, b, math.gcd(a, b) == 1 and is_square_free(b))
 
 
 def progressions_intersect(p1: Progression, p2: Progression) -> bool:

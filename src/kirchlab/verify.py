@@ -227,19 +227,14 @@ def _suite_closure(bounds, rng):
         rad = math.prod(pis)
         zs = np.arange(1, rad + 1, dtype=np.int64)
         for a in range(1, a_max + 1):
-            cs = closure(a, b)
-            formula = np.ones(rad, dtype=bool)
-            for p in cs.forced_divisors:
-                formula &= zs % p == 0
-            for p, k in cs.two_class_constraints:
-                r = zs % p
-                formula &= (r == 0) | (r == k)
-            witness = _witness(zs, a, pis)
+            want = zs[_witness(zs, a, pis)].tolist()
+            got = closure(a, b).members(1, rad)
             checked += rad
-            if not np.array_equal(formula, witness):
-                for z in zs[formula != witness]:
-                    rec.add([a, b, int(z)], bool(witness[z - 1]), bool(formula[z - 1]))
-    # bind the vectorized routes to the scalar library functions
+            if got != want:
+                w = set(want)
+                for z in sorted(w.symmetric_difference(got)):
+                    rec.add([a, b, z], z in w, z not in w)
+    # bind contains to the scalar closure_oracle on sampled z
     for _ in range(bounds["samples"]):
         a = rng.randint(1, a_max)
         b = rng.randint(1, b_max)

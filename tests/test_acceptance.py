@@ -43,7 +43,11 @@ def test_criterion_01_closure_formula_vs_witness_oracle():
     assert r.bounds["a_max"] == 200 and r.bounds["b_max"] == 200
     assert r.passed, r.failures[:3]
     assert r.elapsed < 10.0, f"{r.elapsed:.2f}s"
-    _ok(1, f"closure formula == witness oracle, {r.instances_checked} instances, {r.elapsed:.2f}s")
+    _ok(
+        1,
+        f"closure members == witness oracle on full period windows, "
+        f"{r.instances_checked} instances, {r.elapsed:.2f}s",
+    )
 
 
 def test_criterion_02_pair_signature_identity():

@@ -29,6 +29,8 @@ from kirchlab import (
     realize,
     upset_in_Fprime,
 )
+from kirchlab.filters import MAX_ORDER_BOUND
+from kirchlab.numtheory import MAX_OPERAND
 
 
 def _brute_signature(E):
@@ -325,6 +327,17 @@ def test_primes_from_order_examples():
     assert primes_from_order(45, 45).elements == (3, 5)
 
 
+def test_primes_from_order_is_total():
+    # each refusal comes before any filter is compared
+    for x in (10**12, 10**5000):
+        with pytest.raises(Overflow, match=f"x capped at {MAX_OPERAND}$"):
+            primes_from_order(x, 2)
+    # no prime above x divides it, so p_bound is clamped to x
+    assert primes_from_order(30, 10**10).elements == (3, 5)
+    with pytest.raises(Overflow, match=f"p_bound capped at {MAX_ORDER_BOUND}, got {MAX_ORDER_BOUND + 1}"):
+        primes_from_order(MAX_OPERAND, MAX_ORDER_BOUND + 1)
+
+
 def test_power_chain_examples():
     assert power_chain_equal_set(11, 5) == {1}
     assert power_chain_equal_set(3, 3) == {1, 2}
@@ -344,4 +357,6 @@ def test_power_chain_refuses_a_huge_exponent_before_building_the_power():
     t0 = time.perf_counter()
     with pytest.raises(Overflow, match=r"3\^100000000 exceeds"):
         power_chain_equal_set(3, 10**8)
+    with pytest.raises(Overflow, match=f"x capped at {MAX_OPERAND}$"):
+        power_chain_equal_set(10**5000, 1)
     assert time.perf_counter() - t0 < 1.0

@@ -9,6 +9,7 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from kirchlab import (
     Congruence,
@@ -168,6 +169,53 @@ def test_is_square_free_matches_definition():
     for n in range(1, 3000):
         brute = all(n % (p * p) != 0 for p in _brute_primes(int(n**0.5) + 1))
         assert is_square_free(n) == brute, n
+
+
+def _brute_factorization(n):
+    # {p: e} by trial division over every d >= 2, no prime table involved
+    out, d = {}, 2
+    while d * d <= n:
+        while n % d == 0:
+            out[d] = out.get(d, 0) + 1
+            n //= d
+        d += 1
+    if n > 1:
+        out[n] = 1
+    return out
+
+
+# 3**4 * 7 * 11 * 13 * 19 * 37 * 52579 * 333667 and the product of the
+# primes <= 47: each has small prime divisors and a square root near 10**9
+SMALL_DIVISORS_LARGE_ROOT = (999999999999999999, 614889782588491410)
+
+
+@given(st.integers(1, 10**12) | st.integers(1, 10**4))
+@example(1)
+@example(2)
+@example(3)
+@example(4)
+@example(49)
+@example(2**31 - 1)
+@example(4294967311)
+@example(2**32 + 1)
+@example(999_999_937)
+@example(SMALL_DIVISORS_LARGE_ROOT[0])
+@example(SMALL_DIVISORS_LARGE_ROOT[1])
+def test_trial_division_matches_a_brute_force_reference(n):
+    ref = _brute_factorization(n)
+    assert is_prime(n) == (ref == {n: 1})
+    assert is_square_free(n) == all(e == 1 for e in ref.values())
+    if n <= MAX_OPERAND:
+        assert prime_factors(n).elements == tuple(sorted(ref))
+
+
+def test_trial_division_grows_the_table_only_as_far_as_it_divides(monkeypatch):
+    monkeypatch.setattr(numtheory, "_primes", primes_upto(31))
+    monkeypatch.setattr(numtheory, "_limit", 31)
+    # the uncached is_prime, so that it scans the table
+    assert not is_prime.__wrapped__(SMALL_DIVISORS_LARGE_ROOT[0])
+    assert is_square_free(SMALL_DIVISORS_LARGE_ROOT[1])
+    assert numtheory._limit <= 1000
 
 
 def test_are_coprime():

@@ -9,7 +9,6 @@ from kirchlab import (
     Progression,
     closure,
     intersect,
-    kirch_basic_open,
     progressions_intersect,
 )
 from kirchlab.numtheory import MAX_OPERAND
@@ -31,10 +30,14 @@ def test_progression_validation():
 
 
 def test_kirch_basic_open_flag():
-    assert kirch_basic_open(5, 6).kirch_basic
-    assert kirch_basic_open(1, 2).kirch_basic
-    assert not kirch_basic_open(3, 6).kirch_basic  # shares the factor 3
-    assert not kirch_basic_open(1, 4).kirch_basic  # 4 is not square-free
+    assert Progression(5, 6).kirch_basic
+    assert Progression(1, 2).kirch_basic
+    assert not Progression(3, 6).kirch_basic  # shares the factor 3
+    assert not Progression(1, 4).kirch_basic  # 4 is not square-free
+    # the flag is computed from a and b, so it cannot be set or disagree
+    assert Progression(5, 6) == Progression(5, 6)
+    with pytest.raises(TypeError):
+        Progression(3, 6, True)
 
 
 def test_progressions_intersect_matches_enumeration():

@@ -19,8 +19,8 @@ from kirchlab import (
     filter_le_oracle,
     generator,
     intersect,
-    kirch_basic_open,
     PrimeSet,
+    Progression,
     pair_A,
     prime_factors,
     realize,
@@ -130,7 +130,7 @@ def test_superconnectedness_witness(pairs):
         b = math.prod(sorted(set(prime_factors(b))))  # square-free part
         if math.gcd(a, b) != 1:
             a = 1
-        assert kirch_basic_open(a, b).kirch_basic or b == 1
+        assert Progression(a, b).kirch_basic or b == 1
         c = closure(a, b)
         acc = c if acc is None else intersect(acc, c)
     assert acc.period in acc

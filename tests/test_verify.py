@@ -355,3 +355,18 @@ def test_pair_scans_report_a_broken_route_in_x_then_y_order(monkeypatch):
     report = run_suite("classify", bounds={"max_value": 300})
     assert report.failure_count == 235
     assert [f["input"] for f in report.failures[:3]] == [[1, 3], [1, 4], [1, 9]]
+
+
+def test_closure_suite_reports_a_member_the_enumeration_drops(monkeypatch):
+    # closure(5, 6) is {z : z mod 3 in {0, 2}}, so [1, 6] holds 2, 3, 5, 6;
+    # only a = 5, b = 6 of the grid has this closure and a window of [1, 6]
+    members = CongruenceSet.members
+    broken = closure(5, 6)
+
+    def drop_five(self, lo, hi):
+        return [z for z in members(self, lo, hi) if (self, lo, z) != (broken, 1, 5)]
+
+    monkeypatch.setattr(CongruenceSet, "members", drop_five)
+    report = run_suite("closure", bounds={"a_max": 6, "b_max": 6})
+    assert report.failure_count == 1
+    assert report.failures == ({"input": [5, 6, 5], "expected": True, "got": False},)
