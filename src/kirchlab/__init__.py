@@ -7,14 +7,12 @@ computation with an independent oracle.
 """
 
 from .numtheory import (
-    Congruence,
     NonCoprimeModuli,
     NotCoprime,
     NotPrime,
     PrimeSet,
     PrimeType,
     SearchBoundExceeded,
-    are_coprime,
     classify_prime,
     consecutive_perfect_powers,
     crt_solve,
@@ -60,7 +58,6 @@ from .gamma import (
     edges_by_definition,
     edges_closed_form,
     export_dot,
-    gamma2,
     gamma_graph,
     vertices,
 )

@@ -30,7 +30,7 @@ import numpy as np
 from .numtheory import (
     MAX_OPERAND,
     PrimeSet,
-    _crt,
+    crt_solve,
     is_prime,
     prime_factors,
     primes_upto,
@@ -216,7 +216,7 @@ def realize(A, alpha) -> tuple:
             raise BadShape(f"alpha({p}) = {k} out of range [0, {p})")
     odd = [p for p in A if p != 2]
     x = reduce(lambda acc, p: acc * p, odd, 1)
-    y, _ = _crt((alpha[p], p) for p in A)
+    y, _ = crt_solve((alpha[p], p) for p in A)
     return tuple(sorted({y, x, 2 * x}))
 
 
@@ -341,7 +341,7 @@ def upset_in_Fprime(E: Iterable[int]) -> tuple:
         return tuple(descriptor((a, p, 2 * p)) for a in range(1, p))
     p, q = label.p, label.q
     am = _descriptor_cached(elems).alpha_map
-    x, _ = _crt(((1, 2), (am[p], p), (am[q], q)))
+    x, _ = crt_solve(((1, 2), (am[p], p), (am[q], q)))
     return (descriptor({x, p, 2 * p}), descriptor({x, q, 2 * q}))
 
 

@@ -76,24 +76,12 @@ def _check_bound(bound: int) -> int:
     return bound
 
 
-def gamma2(bound: int) -> GammaGraph:
-    """The chain graph on the powers of two up to bound."""
-    bound = _check_bound(bound)
-    verts = []
-    v = 1
-    while v <= bound:
-        verts.append(v)
-        v *= 2
-    edges = tuple((verts[i], verts[i + 1]) for i in range(len(verts) - 1))
-    return GammaGraph(2, bound, None, tuple(verts), edges)
-
-
 def _check_odd_prime(p: int) -> int:
     p = int(p)
     if not is_prime(p):
         raise NotPrime(f"{p} is not prime")
     if p == 2:
-        raise ValueError("Gamma_p for odd p only; use gamma2 for p = 2")
+        raise ValueError("Gamma_p for odd p only; use gamma_graph for p = 2")
     return p
 
 
@@ -174,10 +162,15 @@ def edges_closed_form(p: int, bound: int) -> tuple:
 
 
 def gamma_graph(p: int, bound: int) -> GammaGraph:
-    """Bounded slice of Gamma_p with definitional edges (gamma2 for p = 2)."""
+    """Bounded slice of Gamma_p with definitional edges.
+
+    For p = 2 it is the chain graph on the powers of two up to bound.
+    """
     p = int(p)
     if p == 2:
-        return gamma2(bound)
+        bound = _check_bound(bound)
+        verts = tuple(1 << a for a in range(bound.bit_length()))
+        return GammaGraph(2, bound, None, verts, tuple(zip(verts, verts[1:])))
     _check_odd_prime(p)
     return GammaGraph(
         p,

@@ -1,8 +1,9 @@
 """Elementary number theory shared by the whole laboratory.
 
-Prime tables, factorization, coprimality, CRT, the 2^m+-1 prime shapes,
-and three classical checkers: primitive prime divisors of a^n - 1,
-consecutive perfect powers, and least primes in arithmetic progressions.
+Prime tables, factorization, CRT over (residue, modulus) pairs, the
+2^m+-1 prime shapes, and three classical checkers: primitive prime
+divisors of a^n - 1, consecutive perfect powers, and least primes in
+arithmetic progressions.
 
 All prime enumeration goes through one shared int32 table of primes,
 grown on demand by a segmented odds-only sieve that strikes only the new
@@ -26,6 +27,8 @@ MAX_OPERAND = 10**9
 # largest operand of is_prime and is_square_free: trial division by the
 # primes up to its square root stays within the table's cap
 MAX_TRIAL_OPERAND = MAX_OPERAND**2
+_MAX_TERMS = 10**6  # most candidates first_prime_in_progression tests
+_ZSIGMONDY_BITS = 2**20  # most bits of the product of earlier terms in zsigmondy_inclusion
 
 
 class NonCoprimeModuli(ValueError):
@@ -222,49 +225,26 @@ def is_square_free(b: int) -> bool:
     return all(e == 1 for _, e in _prime_powers(b))
 
 
-def are_coprime(x: int, y: int) -> bool:
-    return math.gcd(int(x), int(y)) == 1
+def crt_solve(pairs: Iterable[tuple]) -> tuple:
+    """Combine congruences z = residue mod modulus into one, as (residue, modulus).
 
-
-@dataclass(frozen=True)
-class Congruence:
-    """The residue class  residue + modulus * Z  with 0 <= residue < modulus."""
-
-    residue: int
-    modulus: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "residue", int(self.residue))
-        object.__setattr__(self, "modulus", int(self.modulus))
-        if self.modulus < 1:
-            raise ValueError("modulus must be positive")
-        if not 0 <= self.residue < self.modulus:
-            raise ValueError("residue must lie in [0, modulus)")
-
-
-def _crt(pairs: Iterable[tuple]) -> tuple:
-    # the CRT loop over (residue, modulus) pairs, modulus >= 1: the least
-    # non-negative simultaneous solution and the product of the moduli
+    pairs: (residue, modulus) pairs of ints with 0 <= residue < modulus
+    and pairwise coprime moduli.  The result's modulus is the product of the
+    input moduli and its residue is the least non-negative simultaneous
+    solution; no pairs give (0, 1).  Raises ValueError for a residue
+    outside [0, modulus) and NonCoprimeModuli when two moduli share a
+    factor.
+    """
     r, m = 0, 1
     for residue, modulus in pairs:
+        if not 0 <= residue < modulus:
+            raise ValueError(f"residue {residue} must lie in [0, {modulus})")
         if math.gcd(m, modulus) != 1:
             raise NonCoprimeModuli(f"modulus {modulus} shares a factor with {m}")
-        if modulus == 1:
-            continue
         t = ((residue - r) * pow(m, -1, modulus)) % modulus
         r += m * t
         m *= modulus
     return r, m
-
-
-def crt_solve(congruences: Iterable[Congruence]) -> Congruence:
-    """Combine congruences with pairwise coprime moduli into a single one.
-
-    Raises NonCoprimeModuli when two input moduli share a factor.  The
-    result's modulus is the product of the input moduli and its residue is
-    the least non-negative simultaneous solution.
-    """
-    return Congruence(*_crt((c.residue, c.modulus) for c in congruences))
 
 
 @dataclass(frozen=True)
@@ -302,11 +282,16 @@ def zsigmondy_inclusion(a: int, n: int) -> bool:
 
     Decided without factoring: repeatedly strip from a^n - 1 its gcd with
     the product of the smaller terms; the support is included iff the
-    quotient reaches 1.
+    quotient reaches 1.  The product of the smaller terms has at most
+    n(n-1)/2 * ceil(log2 a) bits, capped at 2**20 (about 1 s on a 2-vCPU
+    host); a larger product is a ValueError naming the cap.
     """
     a, n = int(a), int(n)
     if a < 2 or n < 2:
         raise ValueError("need a >= 2 and n >= 2")
+    # (a - 1).bit_length() is ceil(log2 a)
+    if n * (n - 1) // 2 * (a - 1).bit_length() > _ZSIGMONDY_BITS:
+        raise ValueError(f"the product of a^k - 1 over k < n is capped at {_ZSIGMONDY_BITS} bits")
     lower = 1
     for k in range(1, n):
         lower *= a**k - 1
@@ -334,20 +319,28 @@ def consecutive_perfect_powers(limit: int) -> list:
     return [(u, u + 1) for u in sorted(powers) if u + 1 in powers]
 
 
-def first_prime_in_progression(a: int, b: int, max_terms: int = 10**6) -> int:
+def first_prime_in_progression(a: int, b: int, max_terms: int = _MAX_TERMS) -> int:
     """Least prime of the form a + k*b with k >= 1, for coprime a, b.
 
     The offset a itself is not a candidate: the progression searched is
     a+b, a+2b, ...  Raises NotCoprime when gcd(a, b) > 1 and
-    SearchBoundExceeded after max_terms candidates (default 10**6).
+    SearchBoundExceeded after max_terms candidates.  a and b are capped at
+    MAX_OPERAND and max_terms at its default of 10**6, so that every
+    candidate stays below about 10**15 and trial division reads primes
+    below about 3.2 * 10**7 only; a larger value is a ValueError naming
+    the cap.
     """
-    a, b = int(a), int(b)
+    a, b, max_terms = int(a), int(b), int(max_terms)
     if a < 1 or b < 1:
         raise ValueError("need positive a and b")
+    if a > MAX_OPERAND or b > MAX_OPERAND:
+        raise ValueError(f"a and b capped at {MAX_OPERAND}")
     if math.gcd(a, b) != 1:
         raise NotCoprime(f"gcd({a}, {b}) > 1; the progression contains at most one prime")
     if max_terms < 1:
         raise ValueError("max_terms must be positive")
+    if max_terms > _MAX_TERMS:
+        raise ValueError(f"max_terms capped at {_MAX_TERMS}")
     v = a
     for _ in range(max_terms):
         v += b

@@ -8,8 +8,9 @@ per-prime conditions, one for each prime divisor p of b:
 * if p divides a:   z must be divisible by p               ("forced divisor")
 * otherwise:        z must lie in {0, a mod p} modulo p    ("two-class")
 
-CongruenceSet is the normal form for such cut-out sets: a set of forced
-prime divisors plus a map p -> k of two-class constraints (0 < k < p).
+CongruenceSet is the normal form for such cut-out sets: forced prime
+divisors plus two-class constraints (p, k) with 0 < k < p, held as one map
+p -> residues allowed mod p, (0,) or (0, k).
 Since every constraint allows residue 0, a CongruenceSet always contains
 the product of its primes — it is never empty, and neither is the
 intersection of two of them.
@@ -25,7 +26,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import reduce
 
 from .numtheory import MAX_OPERAND, is_prime, is_square_free, prime_factors
 
@@ -67,60 +67,47 @@ class CongruenceSet:
     forced_divisors: ascending tuple of primes that must divide z.
     two_class_constraints: ascending tuple of (p, k) pairs, 0 < k < p,
     with p not among the forced divisors.
+
+    Both are read into one map p -> allowed residues mod p, ascending in p:
+    (0,) for a forced divisor and (0, k) for a two-class prime.  Every
+    query below reads that map alone.
     """
 
     forced_divisors: tuple = ()
     two_class_constraints: tuple = ()
-    _two_map: dict = field(init=False, repr=False, compare=False)
+    _allowed: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         forced = tuple(sorted(int(p) for p in self.forced_divisors))
         pairs = tuple(sorted((int(p), int(k)) for p, k in self.two_class_constraints))
         object.__setattr__(self, "forced_divisors", forced)
         object.__setattr__(self, "two_class_constraints", pairs)
-        seen = set()
-        for p in forced:
-            if not is_prime(p):
-                raise ValueError(f"forced divisor {p} is not prime")
-            if p in seen:
-                raise ValueError(f"prime {p} mentioned twice")
-            seen.add(p)
-        for p, k in pairs:
+        allowed = {}
+        for p, residues in sorted([(p, (0,)) for p in forced] + [(p, (0, k)) for p, k in pairs]):
             if not is_prime(p):
                 raise ValueError(f"constraint prime {p} is not prime")
-            if p in seen:
+            if p in allowed:
                 raise ValueError(f"prime {p} mentioned twice")
-            seen.add(p)
-            if not 0 < k < p:
+            k = residues[-1]
+            if residues != (0,) and not 0 < k < p:
                 raise ValueError(f"two-class residue must satisfy 0 < k < p, got {k} mod {p}")
-        object.__setattr__(self, "_two_map", dict(pairs))
+            allowed[p] = residues
+        object.__setattr__(self, "_allowed", allowed)
 
     def primes_mentioned(self) -> tuple:
-        return tuple(sorted(self.forced_divisors + tuple(self._two_map)))
+        return tuple(self._allowed)
 
     @property
     def period(self) -> int:
-        return reduce(lambda acc, p: acc * p, self.primes_mentioned(), 1)
+        return math.prod(self._allowed)
 
     def allowed_residues(self, p: int):
         """Residues permitted mod p: (0,), (0, k), or None when unconstrained."""
-        if p in self._two_map:
-            return (0, self._two_map[p])
-        if p in self.forced_divisors:
-            return (0,)
-        return None
+        return self._allowed.get(p)
 
     def contains(self, z: int) -> bool:
         z = int(z)
-        if z < 1:
-            return False
-        for p in self.forced_divisors:
-            if z % p != 0:
-                return False
-        for p, k in self.two_class_constraints:
-            if z % p not in (0, k):
-                return False
-        return True
+        return z >= 1 and all(z % p in allowed for p, allowed in self._allowed.items())
 
     __contains__ = contains
 
@@ -153,11 +140,7 @@ class CongruenceSet:
         n = hi - lo + 1
         if n > MAX_WINDOW:
             raise ValueError(f"window capped at {MAX_WINDOW} values, got {n}")
-        constraints = [
-            (p, allowed)
-            for p in self.primes_mentioned()
-            if len(allowed := self.allowed_residues(p)) < p
-        ]
+        constraints = [(p, allowed) for p, allowed in self._allowed.items() if len(allowed) < p]
         constraints.sort(key=lambda c: len(c[1]) / c[0])
         Q, residues, kept_back = 1, [0], []
         for p, allowed in constraints:
@@ -212,13 +195,11 @@ def intersect(s1: CongruenceSet, s2: CongruenceSet) -> CongruenceSet:
     """
     forced = []
     two_class = []
-    for p in sorted(set(s1.primes_mentioned()) | set(s2.primes_mentioned())):
-        r1 = s1.allowed_residues(p)
-        r2 = s2.allowed_residues(p)
-        meet = set(r1 if r2 is None else r2 if r1 is None else set(r1) & set(r2))
-        if meet == {0}:
+    for p in sorted(s1._allowed.keys() | s2._allowed.keys()):
+        r1, r2 = s1._allowed.get(p), s2._allowed.get(p)
+        k = max(set(r1 or r2) & set(r2 or r1))  # the meet is {0} or {0, k}
+        if k == 0:
             forced.append(p)
         else:
-            k = max(meet)
             two_class.append((p, k))
     return CongruenceSet(tuple(forced), tuple(two_class))

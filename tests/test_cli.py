@@ -5,10 +5,12 @@ import hashlib
 import io
 import json
 import random
+import shlex
 import subprocess
 import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -308,6 +310,38 @@ def test_stdout_matches_the_golden_digest(argv):
     r = run_cli(*argv)
     assert r.returncode == 0
     assert hashlib.sha256(r.stdout.encode()).hexdigest() == GOLDEN_STDOUT[argv]
+
+
+def _readme_tour():
+    # (argv, shown stdout) for each "$ kirchlab ..." line of README's
+    # command-line tour; the shown stdout runs to the next blank line
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    block = text.split("## Command-line tour", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    tour = []
+    for example in block.split("\n\n"):
+        lines = [line for line in example.splitlines() if not line.startswith("#")]
+        assert lines[0].startswith("$ kirchlab "), lines
+        tour.append((shlex.split(lines[0])[2:], "\n".join(lines[1:]) + "\n"))
+    return tour
+
+
+def test_readme_tour_prints_what_it_shows():
+    tour = _readme_tour()
+    shown_in_full = [(argv, want) for argv, want in tour if "..." not in want]
+    abbreviated = [(argv, want) for argv, want in tour if "..." in want]
+    assert (len(shown_in_full), len(abbreviated)) == (8, 2)
+    for argv, want in shown_in_full:
+        assert _dispatch(argv)[:2] == (0, want), argv
+    for argv, want in abbreviated:
+        code, out, _ = _dispatch(argv)
+        assert code == 0, argv
+        # the shown pieces, in order: a prefix, the middle ones, a suffix
+        pieces = want.split("...")
+        assert out.startswith(pieces[0]) and out.endswith(pieces[-1]), (argv, out)
+        at = len(pieces[0])
+        for piece in pieces[1:-1]:
+            at = out.index(piece, at) + len(piece)
+        assert at <= len(out) - len(pieces[-1]), (argv, out)
 
 
 # ------------------------------------------------------------ totality

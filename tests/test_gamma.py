@@ -11,7 +11,6 @@ from kirchlab import (
     edges_by_definition,
     edges_closed_form,
     export_dot,
-    gamma2,
     gamma_graph,
     pair_A,
     vertices,
@@ -19,16 +18,16 @@ from kirchlab import (
 
 
 def test_gamma2_examples():
-    g = gamma2(8)
+    g = gamma_graph(2, 8)
     assert g.vertices == (1, 2, 4, 8)
     assert g.edges == ((1, 2), (2, 4), (4, 8))
-    g = gamma2(1)
+    g = gamma_graph(2, 1)
     assert g.vertices == (1,)
     assert g.edges == ()
-    g = gamma2(100)
+    g = gamma_graph(2, 100)
     assert len(g.vertices) == 7 and len(g.edges) == 6
     with pytest.raises(ValueError):
-        gamma2(0)
+        gamma_graph(2, 0)
 
 
 def test_vertices_examples():
@@ -79,7 +78,6 @@ def test_closed_form_matches_definition_up_to_the_operand_cap():
 
 def test_bounds_above_the_operand_cap_are_refused():
     builds = (
-        gamma2,
         lambda bound: vertices(3, bound),
         lambda bound: gamma_graph(3, bound),
         lambda bound: gamma_graph(2, bound),
@@ -89,7 +87,7 @@ def test_bounds_above_the_operand_cap_are_refused():
     for build in builds:
         with pytest.raises(ValueError, match="bound capped at 1000000000"):
             build(10**9 + 1)
-    assert gamma2(10**9).vertices[-1] == 2**29
+    assert gamma_graph(2, 10**9).vertices[-1] == 2**29
     assert vertices(3, 10**9)[-1] <= 10**9
 
 
@@ -149,7 +147,7 @@ def test_gamma_graph_dispatch():
 
 
 def test_export_dot_gamma2():
-    text = export_dot(gamma2(4))
+    text = export_dot(gamma_graph(2, 4))
     assert text.count(" -- ") == 2
     assert text.count("[label=") == 3
     assert text.startswith("graph gamma2 {")

@@ -12,7 +12,6 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from kirchlab import (
-    Congruence,
     NonCoprimeModuli,
     NotCoprime,
     NotPrime,
@@ -24,7 +23,6 @@ from kirchlab import (
     first_prime_in_progression,
     is_prime,
     is_square_free,
-    are_coprime,
     prime_factors,
     primes_upto,
     zsigmondy_inclusion,
@@ -218,13 +216,6 @@ def test_trial_division_grows_the_table_only_as_far_as_it_divides(monkeypatch):
     assert numtheory._limit <= 1000
 
 
-def test_are_coprime():
-    assert are_coprime(3, 8)
-    assert are_coprime(1, 1)
-    assert not are_coprime(6, 9)
-    assert not are_coprime(0, 5)  # gcd(0, 5) = 5
-
-
 def test_prime_set_behaves_like_a_set():
     s = PrimeSet.of([5, 3, 3, 2])
     assert s.elements == (2, 3, 5)
@@ -265,12 +256,9 @@ def test_primality_operands_above_the_cap_are_a_domain_error():
 
 
 def test_crt_examples():
-    got = crt_solve([Congruence(2, 3), Congruence(3, 5)])
-    assert (got.residue, got.modulus) == (8, 15)
-    got = crt_solve([Congruence(1, 2), Congruence(0, 3), Congruence(0, 5)])
-    assert (got.residue, got.modulus) == (15, 30)
-    got = crt_solve([])
-    assert (got.residue, got.modulus) == (0, 1)
+    assert crt_solve([(2, 3), (3, 5)]) == (8, 15)
+    assert crt_solve([(1, 2), (0, 3), (0, 5)]) == (15, 30)
+    assert crt_solve([]) == (0, 1)
 
 
 def test_crt_brute_force_cross_check():
@@ -279,26 +267,24 @@ def test_crt_brute_force_cross_check():
         for b in range(3):
             for c in range(5):
                 for d in range(7):
-                    sol = crt_solve(
-                        [Congruence(a, 2), Congruence(b, 3), Congruence(c, 5), Congruence(d, 7)]
-                    )
-                    assert sol.modulus == 210
-                    z = sol.residue if sol.residue else 210
+                    residue, modulus = crt_solve([(a, 2), (b, 3), (c, 5), (d, 7)])
+                    assert modulus == 210
+                    z = residue if residue else 210
                     assert z % 2 == a and z % 3 == b and z % 5 == c and z % 7 == d
 
 
 def test_crt_rejects_shared_factor():
     with pytest.raises(NonCoprimeModuli):
-        crt_solve([Congruence(1, 6), Congruence(2, 4)])
+        crt_solve([(1, 6), (2, 4)])
 
 
 def test_congruence_validation():
     with pytest.raises(ValueError):
-        Congruence(3, 3)
+        crt_solve([(3, 3)])
     with pytest.raises(ValueError):
-        Congruence(-1, 5)
+        crt_solve([(-1, 5)])
     with pytest.raises(ValueError):
-        Congruence(0, 0)
+        crt_solve([(0, 0)])
 
 
 @pytest.mark.parametrize(

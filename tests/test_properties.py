@@ -1,31 +1,45 @@
 """Property-based tests tying the closed forms to brute-force semantics."""
 
+import linecache
 import math
+import time
 
-from hypothesis import example, given, strategies as st
+import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from kirchlab import (
-    Congruence,
     CongruenceSet,
     OverlapError,
     classify,
+    classify_prime,
     closure,
     closure_oracle,
     compute_A,
     congruence_set_subset,
+    consecutive_perfect_powers,
     crt_solve,
     descriptor,
+    filter_eq,
     filter_le,
     filter_le_oracle,
+    first_prime_in_progression,
     generator,
     intersect,
+    is_prime,
+    is_square_free,
     PrimeSet,
     Progression,
     pair_A,
+    power_chain_equal_set,
     prime_factors,
+    primes_from_order,
+    primes_upto,
     realize,
+    upset_in_Fprime,
+    zsigmondy_inclusion,
 )
-from kirchlab.numtheory import MAX_OPERAND
+from kirchlab.filters import MAX_ORDER_BOUND, MAX_UPSET_PRIME
+from kirchlab.numtheory import MAX_OPERAND, MAX_TRIAL_OPERAND
 
 small_sets = st.sets(st.integers(1, 120), min_size=2, max_size=4).map(lambda s: tuple(sorted(s)))
 
@@ -35,19 +49,19 @@ def congruence_systems(draw):
     moduli = draw(
         st.lists(st.sampled_from((2, 3, 5, 7, 11)), unique=True, min_size=0, max_size=3)
     )
-    return [Congruence(draw(st.integers(0, m - 1)), m) for m in moduli]
+    return [(draw(st.integers(0, m - 1)), m) for m in moduli]
 
 
 @given(congruence_systems())
 def test_crt_agrees_with_linear_scan(system):
-    sol = crt_solve(system)
-    assert sol.modulus == math.prod(c.modulus for c in system)
+    residue, modulus = crt_solve(system)
+    assert modulus == math.prod(m for _, m in system)
     first = next(
         z
-        for z in range(1, sol.modulus + 1)
-        if all(z % c.modulus == c.residue for c in system)
+        for z in range(1, modulus + 1)
+        if all(z % m == r for r, m in system)
     )
-    assert first == (sol.residue or sol.modulus)
+    assert first == (residue or modulus)
 
 
 @given(st.integers(1, 150), st.integers(1, 150))
@@ -236,3 +250,112 @@ def test_doubleton_infinity_characterization(x, y):
     x, y = sorted((x, y))
     want = y == 2 * x and x & (x - 1) == 0
     assert (classify((x, y)).tag == "FInfinity") == want
+
+
+# ------------------------------------------------------------ library totality
+
+# operands up to 10**6; hypothesis favours the small end of the range
+_OPERAND = st.integers(-2, 10**6)
+_SET = st.lists(_OPERAND, max_size=4)
+_PRIMES = st.lists(st.sampled_from((2, 3, 5, 7, 11, 13, 999983)) | _OPERAND, max_size=4)
+_RESIDUE = st.integers(-1, 13)  # small, so that CRT systems and alphas are often valid
+_EXPONENT = st.integers(-1, 31)  # small, so that x**n_max is often within the operand cap
+
+# each public function of numtheory and filters, with a strategy per argument
+_LIBRARY_CALLS = (
+    (primes_upto, _OPERAND),
+    (is_prime, _OPERAND),
+    (prime_factors, _OPERAND),
+    (is_square_free, _OPERAND),
+    (PrimeSet.of, _PRIMES),
+    (crt_solve, st.lists(st.tuples(_RESIDUE, _OPERAND), max_size=3)),
+    (classify_prime, _OPERAND),
+    (zsigmondy_inclusion, _OPERAND, _OPERAND),
+    (consecutive_perfect_powers, _OPERAND),
+    (first_prime_in_progression, _OPERAND, _OPERAND, _OPERAND),
+    (compute_A, _SET),
+    (pair_A, _OPERAND, _OPERAND),
+    (descriptor, _SET),
+    (lambda A, alpha: realize(A, dict(zip(A, alpha))), _PRIMES, st.lists(_RESIDUE, max_size=4)),
+    (lambda E, L: generator(descriptor(E), L), _SET, _PRIMES),
+    (filter_le, _SET, _SET),
+    (filter_eq, _SET, _SET),
+    (classify, _SET),
+    (upset_in_Fprime, _SET),
+    (primes_from_order, _OPERAND, _OPERAND),
+    (power_chain_equal_set, _OPERAND, _EXPONENT),
+)
+
+# no call may take longer; the slowest accepted calls the docs state
+# (primes_from_order at its cap, the sieve grown to 10**9) take up to ~9 s
+_GUARD_S = 20.0
+
+
+@st.composite
+def library_calls(draw):
+    fn, *arg_strategies = draw(st.sampled_from(_LIBRARY_CALLS))
+    return fn, tuple(draw(a) for a in arg_strategies)
+
+
+def _assert_domain_error(exc):
+    # a domain error is a ValueError that kirchlab raises itself, not one
+    # that Python raises from inside a library call (pow, int, str, ...)
+    tb = exc.__traceback__
+    while tb.tb_next is not None:
+        tb = tb.tb_next
+    path = tb.tb_frame.f_code.co_filename
+    line = linecache.getline(path, tb.tb_lineno).strip()
+    assert "kirchlab" in path and line.startswith("raise "), (type(exc), exc, path, line)
+
+
+def _call_within_guard(fn, args):
+    t0 = time.perf_counter()
+    try:
+        fn(*args)
+    except ValueError as exc:
+        _assert_domain_error(exc)
+        raise
+    finally:
+        assert time.perf_counter() - t0 < _GUARD_S, (fn, args)
+
+
+@settings(max_examples=300)
+@given(library_calls())
+def test_every_library_call_answers_or_fails_with_a_domain_error(call):
+    try:
+        _call_within_guard(*call)
+    except ValueError:
+        pass
+
+
+_PAST_CAPS = [
+    (primes_upto, (MAX_OPERAND + 1,), f"capped at {MAX_OPERAND}"),
+    (is_prime, (MAX_TRIAL_OPERAND + 1,), f"capped at {MAX_TRIAL_OPERAND}"),
+    (is_square_free, (MAX_TRIAL_OPERAND + 1,), f"capped at {MAX_TRIAL_OPERAND}"),
+    (prime_factors, (MAX_OPERAND + 1,), f"capped at {MAX_OPERAND}"),
+    (PrimeSet.of, ((2, MAX_TRIAL_OPERAND + 1),), f"capped at {MAX_TRIAL_OPERAND}"),
+    (classify_prime, (MAX_TRIAL_OPERAND + 1,), f"capped at {MAX_TRIAL_OPERAND}"),
+    (zsigmondy_inclusion, (2, 1449), "capped at 1048576 bits"),
+    (zsigmondy_inclusion, (10**6, 325), "capped at 1048576 bits"),
+    (first_prime_in_progression, (MAX_OPERAND + 1, 1), f"capped at {MAX_OPERAND}"),
+    (first_prime_in_progression, (1, MAX_OPERAND + 1), f"capped at {MAX_OPERAND}"),
+    (first_prime_in_progression, (1, 2, 10**6 + 1), "max_terms capped at 1000000"),
+    (compute_A, ((1, MAX_OPERAND + 1),), f"capped at {MAX_OPERAND}"),
+    (pair_A, (1, MAX_OPERAND + 1), f"capped at {MAX_OPERAND}"),
+    (descriptor, ((MAX_OPERAND + 1,),), f"capped at {MAX_OPERAND}"),
+    (filter_le, ((1, 2), (1, MAX_OPERAND + 1)), f"capped at {MAX_OPERAND}"),
+    (classify, ((1, MAX_OPERAND + 1),), f"capped at {MAX_OPERAND}"),
+    (upset_in_Fprime, ((10007, 20014),), f"capped at {MAX_UPSET_PRIME}"),
+    (primes_from_order, (MAX_OPERAND + 1, 3), f"capped at {MAX_OPERAND}"),
+    (primes_from_order, (10**6, MAX_ORDER_BOUND + 1), f"capped at {MAX_ORDER_BOUND}"),
+    (power_chain_equal_set, (MAX_OPERAND + 1, 1), f"capped at {MAX_OPERAND}"),
+    (power_chain_equal_set, (2, 30), f"exceeds the capacity {MAX_OPERAND}"),
+]
+
+
+@pytest.mark.parametrize(
+    "fn, args, cap", _PAST_CAPS, ids=[f"{fn.__name__}{args}" for fn, args, _ in _PAST_CAPS]
+)
+def test_library_values_just_past_a_cap_are_a_domain_error(fn, args, cap):
+    with pytest.raises(ValueError, match=cap):
+        _call_within_guard(fn, args)
