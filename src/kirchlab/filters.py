@@ -10,10 +10,14 @@ open supersets is determined by three pieces of data:
            odd p in Pi(E), and otherwise the unique nonzero residue shared
            by the elements of E mod p.
 
+alpha alone carries what the order reads: its keys are A(E) and its zeros
+the odd primes of Pi(E).  For |E|, |F| >= 2 the filter of E lies in the
+filter of F iff every p of A(F) lies in A(E) with alpha_E(p) in
+{0, alpha_F(p)} (filter_le below); an independent search-based route
+lives in the verify module.
+
 Singletons {x} behave degenerately: every prime qualifies, so A is the
-sentinel ALL_PRIMES and alpha is undefined.  Two filters compare by a
-finite criterion on their descriptors (filter_le below); an independent
-search-based route lives in the verify module.
+sentinel ALL_PRIMES and alpha is undefined.
 
 Sets are represented as in progressions.CongruenceSet, and realizability
 (descriptors -> witness sets) uses the CRT.
@@ -21,7 +25,7 @@ Sets are represented as in progressions.CongruenceSet, and realizability
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache, reduce
 from typing import Iterable, Optional, Union
 
@@ -101,28 +105,26 @@ class FilterDescriptor:
     """Finite data determining the filter of a set E.
 
     E is the (sorted) witness set; A is a PrimeSet or ALL_PRIMES; Pi is the
-    common-divisor support; alpha is a tuple of (p, residue) pairs over A,
-    or None when A is ALL_PRIMES.
+    common-divisor support; alpha is the dict p -> residue over A, ascending
+    in p, or None when A is ALL_PRIMES.  alpha(p) = 0 exactly at the odd
+    primes of Pi, and E <= F iff every p of A_F has alpha_E(p) in
+    {0, alpha_F(p)}.  alpha is a function of E, so it takes no part in ==
+    and hash.
     """
 
     E: tuple
     A: Union[PrimeSet, _AllPrimes]
     Pi: PrimeSet
-    alpha: Optional[tuple]
-
-    @property
-    def alpha_map(self) -> dict:
-        return dict(self.alpha or ())
+    alpha: Optional[dict] = field(compare=False)
 
     def to_json_dict(self) -> dict:
-        out = {"E": list(self.E)}
-        if self.A is ALL_PRIMES:
-            out["A"] = "all"
-            out["Pi"] = list(self.Pi)
-        else:
-            out["A"] = list(self.A)
-            out["Pi"] = list(self.Pi)
-            out["alpha"] = {str(p): str(k) for p, k in self.alpha}
+        out = {
+            "E": list(self.E),
+            "A": "all" if self.A is ALL_PRIMES else list(self.A),
+            "Pi": list(self.Pi),
+        }
+        if self.alpha is not None:
+            out["alpha"] = {str(p): str(k) for p, k in self.alpha.items()}
         return out
 
 
@@ -175,18 +177,10 @@ def _descriptor_cached(elems: tuple) -> FilterDescriptor:
     if len(elems) == 1:
         return FilterDescriptor(elems, ALL_PRIMES, prime_factors(elems[0]), None)
     A = compute_A(elems)
-    g = reduce(math.gcd, elems)
-    Pi = prime_factors(g)
-    alpha = []
-    for p in A:
-        if p == 2:
-            alpha.append((2, 1))
-        elif p in Pi:
-            alpha.append((p, 0))
-        else:
-            k = next(e % p for e in elems if e % p != 0)
-            alpha.append((p, k))
-    return FilterDescriptor(elems, A, Pi, tuple(alpha))
+    # alpha(2) = 1; at an odd p the largest residue: 0 at a common divisor,
+    # else the one nonzero residue E shares mod p
+    alpha = {p: 1 if p == 2 else max(e % p for e in elems) for p in A}
+    return FilterDescriptor(elems, A, prime_factors(reduce(math.gcd, elems)), alpha)
 
 
 def descriptor(E: Iterable[int]) -> FilterDescriptor:
@@ -224,8 +218,9 @@ def generator(d: FilterDescriptor, L=()) -> CongruenceSet:
     """A generating congruence set of the filter of d, forcing extra primes L.
 
     L must be disjoint from A.  The output forces the primes of L and
-    carries the two-class constraint p -> alpha(p) for every odd signature
-    prime outside Pi, plus the (vacuous) marker 2 -> 1.
+    carries the two-class constraint p -> alpha(p) for every signature
+    prime with alpha(p) != 0: the odd ones outside Pi, plus the (vacuous)
+    marker 2 -> 1.
     """
     if d.A is ALL_PRIMES:
         raise BadShape("singleton filters have no congruence-set generators")
@@ -233,22 +228,14 @@ def generator(d: FilterDescriptor, L=()) -> CongruenceSet:
     clash = [p for p in L if p in d.A]
     if clash:
         raise OverlapError(f"extra primes {clash} already lie in the signature")
-    two_class = [(2, 1)]
-    for p, k in d.alpha:
-        if p != 2 and p not in d.Pi and k != 0:
-            two_class.append((p, k))
-    return CongruenceSet(tuple(L), tuple(two_class))
+    return CongruenceSet(tuple(L), tuple((p, k) for p, k in d.alpha.items() if k))
 
 
 def _le_descriptors(dE: FilterDescriptor, dF: FilterDescriptor) -> bool:
-    # order criterion on descriptors: A_F within A_E, odd part of Pi_F
-    # within Pi_E, and the alphas agree on A_F outside Pi_E
-    if not dF.A.issubset(dE.A):
-        return False
-    if not set(dF.Pi.elements) - {2} <= set(dE.Pi.elements):
-        return False
-    aE, aF = dE.alpha_map, dF.alpha_map
-    return all(aE[p] == aF[p] for p in dF.A if p not in dE.Pi)
+    # order criterion on descriptors: every p of A_F lies in A_E, with
+    # alpha_E(p) zero or alpha_F(p)
+    aE = dE.alpha
+    return all(aE.get(p) in (0, k) for p, k in dF.alpha.items())
 
 
 def filter_le(E: Iterable[int], F: Iterable[int]) -> bool:
@@ -306,17 +293,16 @@ def classify(E: Iterable[int]) -> ClassLabel:
     elems = _element_tuple(E)
     if len(elems) < 2:
         raise TooSmall("classification needs at least two elements")
-    d = _descriptor_cached(elems)
-    odd = [p for p in d.A if p != 2]
-    pi = set(d.Pi.elements)
+    alpha = _descriptor_cached(elems).alpha
+    odd = [p for p in alpha if p != 2]
     if not odd:
         return ClassLabel("FInfinity")
     if len(odd) == 1:
         p = odd[0]
-        if p in pi:
+        if alpha[p] == 0:
             return ClassLabel("FDoublePrime", p=p, case=1)
-        return ClassLabel("FPrime", p=p, alpha_value=d.alpha_map[p])
-    if len(odd) == 2 and pi <= {2}:
+        return ClassLabel("FPrime", p=p, alpha_value=alpha[p])
+    if len(odd) == 2 and 0 not in alpha.values():
         return ClassLabel("FDoublePrime", p=odd[0], q=odd[1], case=2)
     return ClassLabel("Other")
 
@@ -340,8 +326,8 @@ def upset_in_Fprime(E: Iterable[int]) -> tuple:
             raise Overflow(f"case-1 up-set: p capped at {MAX_UPSET_PRIME}, got {p}")
         return tuple(descriptor((a, p, 2 * p)) for a in range(1, p))
     p, q = label.p, label.q
-    am = _descriptor_cached(elems).alpha_map
-    x, _ = crt_solve(((1, 2), (am[p], p), (am[q], q)))
+    alpha = _descriptor_cached(elems).alpha
+    x, _ = crt_solve(((1, 2), (alpha[p], p), (alpha[q], q)))
     return (descriptor({x, p, 2 * p}), descriptor({x, q, 2 * q}))
 
 

@@ -28,6 +28,9 @@ MAX_OPERAND = 10**9
 # primes up to its square root stays within the table's cap
 MAX_TRIAL_OPERAND = MAX_OPERAND**2
 _MAX_TERMS = 10**6  # most candidates first_prime_in_progression tests
+# largest limit of consecutive_perfect_powers, which loops over every base
+# up to its square root: 10**13 takes 7-10 s and about 300 MB
+_MAX_POWERS_LIMIT = 10**13
 _ZSIGMONDY_BITS = 2**20  # most bits of the product of earlier terms in zsigmondy_inclusion
 
 
@@ -159,10 +162,10 @@ class PrimeSet:
         object.__setattr__(self, "elements", elems)
         prev = 1
         for p in elems:
-            if p <= prev:
-                raise ValueError("elements must be strictly increasing")
             if not is_prime(p):
                 raise NotPrime(f"{p} is not prime")
+            if p <= prev:
+                raise ValueError("elements must be strictly increasing")
             prev = p
         object.__setattr__(self, "_set", frozenset(elems))
 
@@ -304,10 +307,15 @@ def zsigmondy_inclusion(a: int, n: int) -> bool:
 
 
 def consecutive_perfect_powers(limit: int) -> list:
-    """All pairs (u, u+1) of perfect powers m^k (k >= 2) with u+1 <= limit."""
+    """All pairs (u, u+1) of perfect powers m^k (k >= 2) with u+1 <= limit.
+
+    limit is capped at 10**13; a larger one is a ValueError naming the cap.
+    """
     limit = int(limit)
     if limit < 2:
         raise ValueError("limit must be at least 2")
+    if limit > _MAX_POWERS_LIMIT:
+        raise ValueError(f"limit capped at {_MAX_POWERS_LIMIT}, got {limit}")
     powers = set()
     m = 2
     while m * m <= limit:

@@ -37,8 +37,6 @@ from .numtheory import (
 from .progressions import CongruenceSet, Progression, closure, progressions_intersect
 from .filters import (
     TooSmall,
-    _descriptor_cached,
-    _element_tuple,
     _le_descriptors,
     classify,
     compute_A,
@@ -111,8 +109,9 @@ def congruence_set_subset(s1, s2) -> bool:
 def _generator_sets(memo: dict, d, L: tuple) -> dict:
     # residue_sets(generator(d, L)), built once per (d, L) of the memo: the
     # oracle asks for the same few generators of each descriptor over and
-    # over.  L is an ascending tuple of primes outside A(d); a descriptor is
-    # a function of its set E, whose tuple hashes faster than d itself.
+    # over.  L is an ascending tuple of primes outside A(d).  A descriptor
+    # is a function of its set E, so the tuple E keys it: hashing d itself
+    # would hash A and Pi as well.
     key = (d.E, L)
     sets = memo.get(key)
     if sets is None:
@@ -154,10 +153,10 @@ def filter_le_oracle(E, F, extra_pool=()) -> bool:
     search; by CRT independence it never changes the verdict (exercised by
     the pool-widening checks).
     """
-    e, f = _element_tuple(E), _element_tuple(F)
-    if min(len(e), len(f)) < 2:
+    dE, dF = descriptor(E), descriptor(F)
+    if min(len(dE.E), len(dF.E)) < 2:
         raise TooSmall("the generator search needs |E|, |F| >= 2")
-    return _oracle_descriptors({}, _descriptor_cached(e), _descriptor_cached(f), extra_pool)
+    return _oracle_descriptors({}, dE, dF, extra_pool)
 
 
 # ---------------------------------------------------------------- reports
@@ -310,7 +309,7 @@ def _suite_realize(bounds, rng):
                 checked += 1
                 if (
                     tuple(d.A) != tuple(A)
-                    or d.alpha_map != alpha
+                    or d.alpha != alpha
                     or d.Pi.elements != want_pi
                 ):
                     rec.add(
@@ -326,12 +325,8 @@ def _random_set(rng, max_value, sizes):
 
 
 def _descriptor_key(d):
-    # what the filter order reads of a descriptor: A, and Pi and alpha off 2
-    return (
-        d.A.elements,
-        tuple(p for p in d.Pi.elements if p != 2),
-        tuple((p, k) for p, k in d.alpha if p != 2),
-    )
+    # what the filter order reads of a descriptor: its residue map alpha
+    return tuple(d.alpha.items())
 
 
 def _suite_order(bounds, rng):
@@ -341,7 +336,7 @@ def _suite_order(bounds, rng):
     sets_all = [c for size in sizes for c in combinations(range(1, n + 1), size)]
     reps = {}
     for s in sets_all:
-        d = _descriptor_cached(s)
+        d = descriptor(s)
         reps.setdefault(_descriptor_key(d), d)
     rep_descs = list(reps.values())
     checked = 0

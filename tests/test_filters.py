@@ -93,13 +93,13 @@ def test_descriptor_examples():
     d = descriptor((3, 6))
     assert d.A.elements == (2, 3)
     assert d.Pi.elements == (3,)
-    assert d.alpha_map == {2: 1, 3: 0}
+    assert d.alpha == {2: 1, 3: 0}
 
     d = descriptor((5, 3, 6))
     assert d.E == (3, 5, 6)
     assert d.A.elements == (2, 3)
     assert d.Pi.elements == ()
-    assert d.alpha_map == {2: 1, 3: 2}
+    assert d.alpha == {2: 1, 3: 2}
 
     d = descriptor((7,))
     assert d.A is ALL_PRIMES
@@ -117,11 +117,11 @@ def test_descriptor_alpha_conditions_hold_on_random_sets():
         d = descriptor(E)
         assert 2 in d.A
         assert d.Pi.issubset(d.A)
-        assert d.alpha_map[2] == 1
+        assert d.alpha[2] == 1
         for p in d.A:
             if p == 2:
                 continue
-            k = d.alpha_map[p]
+            k = d.alpha[p]
             if p in d.Pi:
                 assert k == 0
             else:
@@ -174,7 +174,7 @@ def test_realize_round_trip():
     E = realize(A, alpha)
     d = descriptor(E)
     assert d.A.elements == A.elements
-    assert d.alpha_map == alpha
+    assert d.alpha == alpha
     assert d.Pi.elements == (7,)
 
 

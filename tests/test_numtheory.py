@@ -25,6 +25,7 @@ from kirchlab import (
     is_square_free,
     prime_factors,
     primes_upto,
+    realize,
     zsigmondy_inclusion,
 )
 from kirchlab import numtheory
@@ -238,6 +239,15 @@ def test_prime_set_rejects_non_primes():
         PrimeSet((4,))
     with pytest.raises(ValueError, match="strictly increasing"):
         PrimeSet((5, 3))
+    with pytest.raises(ValueError, match="strictly increasing"):
+        PrimeSet((2, 2))
+    # a non-positive element is named, not reported as out of order
+    with pytest.raises(NotPrime, match="-1 is not prime"):
+        PrimeSet.of([-1])
+    with pytest.raises(NotPrime, match="0 is not prime"):
+        PrimeSet.of([0, 2])
+    with pytest.raises(NotPrime, match="-3 is not prime"):
+        realize((-3, 2), {2: 1, -3: 0})
 
 
 def test_primality_operands_above_the_cap_are_a_domain_error():

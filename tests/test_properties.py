@@ -199,7 +199,7 @@ def test_realize_round_trip(odd_primes, data):
     E = realize(A, alpha)
     d = descriptor(E)
     assert d.A.elements == A
-    assert d.alpha_map == alpha
+    assert d.alpha == alpha
     assert d.Pi.elements == tuple(p for p in A if p != 2 and alpha[p] == 0)
 
 
@@ -221,11 +221,13 @@ def test_forcing_extra_primes_strictly_shrinks_generators(E, q):
 
 
 @given(small_sets)
+@example(E=(41, 82))  # A = {2, 41}: only forcing 41 meets the signature
 def test_infinity_class_matches_generator_family_shape(E):
     d = descriptor(E)
     trivially_shaped = generator(d).two_class_constraints == ((2, 1),)
     all_forcings_legal = True
-    for q in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31):
+    # every odd prime that may lie in A: none above max(E) does
+    for q in primes_upto(max(E))[1:].tolist():
         try:
             generator(d, (q,))
         except OverlapError:
@@ -348,6 +350,7 @@ _PAST_CAPS = [
     (upset_in_Fprime, ((10007, 20014),), f"capped at {MAX_UPSET_PRIME}"),
     (primes_from_order, (MAX_OPERAND + 1, 3), f"capped at {MAX_OPERAND}"),
     (primes_from_order, (10**6, MAX_ORDER_BOUND + 1), f"capped at {MAX_ORDER_BOUND}"),
+    (consecutive_perfect_powers, (10**13 + 1,), f"capped at {10**13}"),
     (power_chain_equal_set, (MAX_OPERAND + 1, 1), f"capped at {MAX_OPERAND}"),
     (power_chain_equal_set, (2, 30), f"exceeds the capacity {MAX_OPERAND}"),
 ]

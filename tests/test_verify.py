@@ -19,6 +19,7 @@ from kirchlab import (
     congruence_set_subset,
     filter_le,
     filter_le_oracle,
+    filters,
     intersect,
     run_suite,
     suite_names,
@@ -370,3 +371,34 @@ def test_closure_suite_reports_a_member_the_enumeration_drops(monkeypatch):
     report = run_suite("closure", bounds={"a_max": 6, "b_max": 6})
     assert report.failure_count == 1
     assert report.failures == ({"input": [5, 6, 5], "expected": True, "got": False},)
+
+
+def _le_equal_only(dE, dF):
+    # drops the zero case: an odd common divisor of E no longer covers p
+    aE = dE.alpha
+    return all(aE.get(p) == k for p, k in dF.alpha.items())
+
+
+def _le_missing_as_zero(dE, dF):
+    # reads a prime of A_F outside A_E as a zero of alpha_E
+    aE = dE.alpha
+    return all(aE.get(p, 0) in (0, k) for p, k in dF.alpha.items())
+
+
+# a planted fault: the name it replaces, the replacement, and every module
+# that holds the name; the first row plants nothing
+_ORDER_FAULTS = {
+    "none": (None, None, ()),
+    "le_equal_only": ("_le_descriptors", _le_equal_only, (filters, verify)),
+    "le_missing_as_zero": ("_le_descriptors", _le_missing_as_zero, (filters, verify)),
+    "member_always_true": ("_member_of_filter", lambda *args: True, (verify,)),
+}
+
+
+@pytest.mark.parametrize("fault", list(_ORDER_FAULTS))
+def test_order_suite_reports_each_planted_fault(monkeypatch, fault):
+    name, broken, modules = _ORDER_FAULTS[fault]
+    for module in modules:
+        monkeypatch.setattr(module, name, broken)
+    report = run_suite("order", {"max_value": 12, "random_max": 40}, seed=3)
+    assert (report.failure_count > 0) == bool(modules), report.failure_count
