@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache, reduce
+from functools import lru_cache
 from typing import Iterable, Optional, Union
 
 import numpy as np
@@ -104,23 +104,32 @@ def _element_tuple(E: Iterable[int]) -> tuple:
 class FilterDescriptor:
     """Finite data determining the filter of a set E.
 
-    E is the (sorted) witness set; A is a PrimeSet or ALL_PRIMES; Pi is the
-    common-divisor support; alpha is the dict p -> residue over A, ascending
-    in p, or None when A is ALL_PRIMES.  alpha(p) = 0 exactly at the odd
-    primes of Pi, and E <= F iff every p of A_F has alpha_E(p) in
-    {0, alpha_F(p)}.  alpha is a function of E, so it takes no part in ==
-    and hash.
+    E is the (sorted) witness set; alpha is the dict p -> residue over
+    A(E), ascending in p, or None for a singleton.  A and Pi are read from
+    alpha: A is its keys (ALL_PRIMES for a singleton), and Pi its zeros,
+    with 2 when every element is even.  E <= F iff every p of A_F has
+    alpha_E(p) in {0, alpha_F(p)}.  alpha is a function of E, so it takes
+    no part in == and hash.
     """
 
     E: tuple
-    A: Union[PrimeSet, _AllPrimes]
-    Pi: PrimeSet
     alpha: Optional[dict] = field(compare=False)
+
+    @property
+    def A(self) -> Union[PrimeSet, _AllPrimes]:
+        return ALL_PRIMES if self.alpha is None else PrimeSet._trusted(tuple(self.alpha))
+
+    @property
+    def Pi(self) -> PrimeSet:
+        if self.alpha is None:
+            return prime_factors(self.E[0])
+        two = (2,) if all(e % 2 == 0 for e in self.E) else ()
+        return PrimeSet._trusted(two + tuple(p for p, k in self.alpha.items() if k == 0))
 
     def to_json_dict(self) -> dict:
         out = {
             "E": list(self.E),
-            "A": "all" if self.A is ALL_PRIMES else list(self.A),
+            "A": "all" if self.alpha is None else list(self.alpha),
             "Pi": list(self.Pi),
         }
         if self.alpha is not None:
@@ -175,16 +184,16 @@ def pair_A(x: int, y: int) -> PrimeSet:
 @lru_cache(maxsize=1 << 15)
 def _descriptor_cached(elems: tuple) -> FilterDescriptor:
     if len(elems) == 1:
-        return FilterDescriptor(elems, ALL_PRIMES, prime_factors(elems[0]), None)
-    A = compute_A(elems)
+        return FilterDescriptor(elems, None)
     # alpha(2) = 1; at an odd p the largest residue: 0 at a common divisor,
     # else the one nonzero residue E shares mod p
-    alpha = {p: 1 if p == 2 else max(e % p for e in elems) for p in A}
-    return FilterDescriptor(elems, A, prime_factors(reduce(math.gcd, elems)), alpha)
+    return FilterDescriptor(
+        elems, {p: 1 if p == 2 else max(e % p for e in elems) for p in compute_A(elems)}
+    )
 
 
 def descriptor(E: Iterable[int]) -> FilterDescriptor:
-    """Descriptor (E, A, Pi, alpha) of a finite nonempty set."""
+    """Descriptor (E, alpha) of a finite nonempty set; A and Pi are read from alpha."""
     return _descriptor_cached(_element_tuple(E))
 
 
@@ -208,8 +217,7 @@ def realize(A, alpha) -> tuple:
     for p, k in alpha.items():
         if not 0 <= k < p:
             raise BadShape(f"alpha({p}) = {k} out of range [0, {p})")
-    odd = [p for p in A if p != 2]
-    x = reduce(lambda acc, p: acc * p, odd, 1)
+    x = math.prod(p for p in A if p != 2)
     y, _ = crt_solve((alpha[p], p) for p in A)
     return tuple(sorted({y, x, 2 * x}))
 
@@ -222,10 +230,10 @@ def generator(d: FilterDescriptor, L=()) -> CongruenceSet:
     prime with alpha(p) != 0: the odd ones outside Pi, plus the (vacuous)
     marker 2 -> 1.
     """
-    if d.A is ALL_PRIMES:
+    if d.alpha is None:
         raise BadShape("singleton filters have no congruence-set generators")
     L = L if isinstance(L, PrimeSet) else PrimeSet.of(L)
-    clash = [p for p in L if p in d.A]
+    clash = [p for p in L if p in d.alpha]
     if clash:
         raise OverlapError(f"extra primes {clash} already lie in the signature")
     return CongruenceSet(tuple(L), tuple((p, k) for p, k in d.alpha.items() if k))

@@ -73,6 +73,10 @@ def _grow(new_limit: int) -> None:
     table = np.empty(_pi_bound(new_limit), dtype=np.int32)
     count = len(_primes)
     table[:count] = _primes
+    # let the old table go before the sieve writes the new one's pages
+    # (np.empty maps them lazily), so the two are not held in full at once
+    _primes = table[:count]
+    _primes.flags.writeable = False
     lo = _limit
     while lo < new_limit:
         hi = min(lo + 2 * _SIEVE_BLOCK, new_limit, lo * lo)

@@ -81,55 +81,45 @@ def closure_oracle(a: int, b: int, z: int) -> bool:
     return True
 
 
-def residue_sets(s) -> dict:
-    """p -> frozenset of the residues s allows mod p, for each prime s mentions."""
-    return {p: frozenset(s.allowed_residues(p)) for p in s.primes_mentioned()}
-
-
-def congruence_set_subset(s1, s2) -> bool:
+def congruence_set_subset(s1: CongruenceSet, s2: CongruenceSet) -> bool:
     """Whether s1 is contained in s2, decided prime by prime.
 
     Exact: a congruence set is the CRT product of its per-prime residue
     sets (all residues at unmentioned primes), so containment holds iff at
     every prime mentioned by s2 the residues achieved by s1 are allowed.
-    Each argument is a CongruenceSet or its residue_sets dict.
     """
-    got = s1 if isinstance(s1, dict) else residue_sets(s1)
-    allowed = s2 if isinstance(s2, dict) else residue_sets(s2)
-    for p, ok in allowed.items():
-        r = got.get(p)
-        if r is None:
+    for p in s2.primes_mentioned():
+        ok, got = s2.allowed_residues(p), s1.allowed_residues(p)
+        if got is None:
             if len(ok) < p:
                 return False
-        elif not r <= ok:
+        elif not all(r in ok for r in got):
             return False
     return True
 
 
-def _generator_sets(memo: dict, d, L: tuple) -> dict:
-    # residue_sets(generator(d, L)), built once per (d, L) of the memo: the
-    # oracle asks for the same few generators of each descriptor over and
-    # over.  L is an ascending tuple of primes outside A(d).  A descriptor
-    # is a function of its set E, so the tuple E keys it: hashing d itself
-    # would hash A and Pi as well.
+def _generator(memo: dict, d, L: tuple) -> CongruenceSet:
+    # generator(d, L), built once per (d, L) of the memo: the oracle asks
+    # for the same few generators of each descriptor over and over.  L is
+    # an ascending tuple of primes outside A(d).
     key = (d.E, L)
-    sets = memo.get(key)
-    if sets is None:
-        sets = memo[key] = residue_sets(generator(d, PrimeSet.of(L)))
-    return sets
+    s = memo.get(key)
+    if s is None:
+        s = memo[key] = generator(d, L)
+    return s
 
 
-def _member_of_filter(memo: dict, B: dict, dF, extra_pool=()) -> bool:
-    # B (residue sets) belongs to the filter of dF iff some generator of dF
-    # fits inside B. Forcing more primes only shrinks a generator, so the
-    # existential over L' is decided by the maximal choice: all primes of B
-    # (plus any extra pool) outside the signature of dF.
-    pool = tuple(sorted(p for p in B.keys() | set(extra_pool) if p not in dF.A))
-    return congruence_set_subset(_generator_sets(memo, dF, pool), B)
+def _member_of_filter(memo: dict, B: CongruenceSet, dF, extra_pool=()) -> bool:
+    # B belongs to the filter of dF iff some generator of dF fits inside B.
+    # Forcing more primes only shrinks a generator, so the existential over
+    # L' is decided by the maximal choice: all primes of B (plus any extra
+    # pool) outside the signature of dF.
+    pool = tuple(sorted(p for p in {*B.primes_mentioned(), *extra_pool} if p not in dF.alpha))
+    return congruence_set_subset(_generator(memo, dF, pool), B)
 
 
 def _oracle_descriptors(memo: dict, dE, dF, extra_pool=()) -> bool:
-    outside = tuple(p for p in dF.A if p not in dE.A)
+    outside = tuple(p for p in dF.alpha if p not in dE.alpha)
     # singletons first: when A_F strays outside A_E a one-prime L0 already
     # fails, which keeps the common no-verdict case cheap
     choices = [(p,) for p in outside]
@@ -137,7 +127,7 @@ def _oracle_descriptors(memo: dict, dE, dF, extra_pool=()) -> bool:
     for size in range(2, len(outside) + 1):
         choices.extend(combinations(outside, size))
     for L0 in choices:
-        B = _generator_sets(memo, dE, L0)
+        B = _generator(memo, dE, L0)
         if not _member_of_filter(memo, B, dF, extra_pool):
             return False
     return True
@@ -305,16 +295,11 @@ def _suite_realize(bounds, rng):
                 alpha = {2: 1, **dict(zip(subset, combo))}
                 E = realize(A, alpha)
                 d = descriptor(E)
-                want_pi = tuple(p for p in subset if alpha[p] == 0)
                 checked += 1
-                if (
-                    tuple(d.A) != tuple(A)
-                    or d.alpha != alpha
-                    or d.Pi.elements != want_pi
-                ):
+                if d.alpha != alpha:  # A and Pi are read from alpha
                     rec.add(
                         {"A": list(A), "alpha": {str(p): k for p, k in alpha.items()}},
-                        {"A": list(A), "Pi": list(want_pi)},
+                        {"A": list(A), "Pi": [p for p in subset if alpha[p] == 0]},
                         d.to_json_dict(),
                     )
     return checked, rec, []
@@ -553,6 +538,11 @@ def _suite_powers(bounds, rng):
 
 def _suite_chains(bounds, rng):
     x_max, n_max = bounds["max_base"], bounds["max_exponent"]
+    if x_max**n_max > MAX_OPERAND:
+        raise ValueError(
+            f"suite chains: max_base ** max_exponent = {x_max**n_max} "
+            f"must be at most {MAX_OPERAND}"
+        )
     rec = _Recorder()
     checked = 0
     findings = []
@@ -661,10 +651,10 @@ def run_suite(name: str, bounds: dict = None, seed: int = 0) -> SuiteReport:
 
     bounds overrides some of the suite's knobs(name), each within its least
     and most value.  Any other key, the suite's fixed params in the _SUITES
-    table included, is rejected by name, and so is a chains run whose
-    max_base ** max_exponent passes MAX_OPERAND; every refusal comes before
-    any work.  seed drives every randomized phase, making the report body
-    reproducible.  A run that checks nothing is an error, never a pass.
+    table included, is rejected by name; a suite whose knobs are bounded
+    jointly refuses them in its first statement, so every refusal comes
+    before any work.  seed drives every randomized phase, making the report
+    body reproducible.  A run that checks nothing is an error, never a pass.
     """
     settable = knobs(name)
     bounds = bounds or {}
@@ -682,13 +672,6 @@ def run_suite(name: str, bounds: dict = None, seed: int = 0) -> SuiteReport:
             raise ValueError(f"suite {name}: {knob} must be at least {k.least}, got {cfg[knob]}")
         if cfg[knob] > k.most:
             raise ValueError(f"suite {name}: {knob} must be at most {k.most}, got {cfg[knob]}")
-    if name == "chains":
-        power = cfg["max_base"] ** cfg["max_exponent"]
-        if power > MAX_OPERAND:
-            raise ValueError(
-                f"suite chains: max_base ** max_exponent = {power} "
-                f"must be at most {MAX_OPERAND}"
-            )
     rng = random.Random(seed)
     t0 = time.perf_counter()
     checked, rec, findings = suite(cfg, rng)

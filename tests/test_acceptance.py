@@ -22,14 +22,22 @@ def _ok(n, msg):
     print(f"criterion {n:2d} PASS — {msg}")
 
 
-# sha256 of the canonical report body (sorted keys) at the default bounds,
-# recorded before the order oracle's generator memo, the trusted PrimeSet
-# path and the row-streamed pair scans; an optimization must keep each one
+# sha256 of the canonical report body (sorted keys) at the default bounds.
+# The first four were recorded before the order oracle's generator memo,
+# the trusted PrimeSet path and the row-streamed pair scans, the other six
+# before the descriptor came to store E and alpha alone; a refactor or an
+# optimization must keep each one
 REPORT_SHA256 = {
     "pairA": "ef53a0a23fa436293c709288a80a21adbc2cdbc6e768d9bc13b6ef6cac86fb89",
     "realize": "3c93264cfb0158404095e0eec9319454da0a79b3217edd78ba1dd50c4c59a46c",
     "order": "bd13ba54bfabd14fea75e032e0bc1573e2cea8303b2fde6259cd154acb17342a",
     "classify": "74a6eae9d62459dca6e35fdb4ed9de7cf64fe5d581945e39b5d0526eebf31142",
+    "closure": "451c50d97a8d61263835aa8a540965cb3e574d838a484bb904a3d6059d6fd2ef",
+    "upsets": "4210681e38ad05cf4f7bb260cf3771adf975b7d238abb110cf27629096bba529",
+    "gamma": "bcf7738cd272fc58f1ead37eb8d15100452b0355736a16b5fcf57a1f49405c55",
+    "zsigmondy": "3b6c93121cb225d529d5e3a59d5e7dc75e2b38fda406ea6952c604b76c9ae8c4",
+    "powers": "2769ecfdbd4b2995ea624f784b3eb9e8b53a3e6d936a62195e9383a515a63f4f",
+    "chains": "6b2823b89da50704688ae97a1003918a12922214ce36b610445acc3a1b1f6b0c",
 }
 
 
@@ -43,6 +51,7 @@ def test_criterion_01_closure_formula_vs_witness_oracle():
     assert r.bounds["a_max"] == 200 and r.bounds["b_max"] == 200
     assert r.passed, r.failures[:3]
     assert r.elapsed < 10.0, f"{r.elapsed:.2f}s"
+    assert _digest(r) == REPORT_SHA256["closure"]
     _ok(
         1,
         f"closure members == witness oracle on full period windows, "
@@ -102,6 +111,7 @@ def test_criterion_06_upset_cardinalities():
     assert tuple(r.bounds["prime_list"]) == (3, 5, 7, 11, 13)
     assert r.bounds["instances"] == 20
     assert r.passed, r.failures[:3]
+    assert _digest(r) == REPORT_SHA256["upsets"]
     _ok(6, "up-set sizes: p-1 for {p,2p}, 2 for all 20 seeded two-prime instances")
 
 
@@ -111,6 +121,7 @@ def test_criterion_07_gamma_closed_form_equals_definition():
     assert r.bounds["bound"] == 10**6
     assert r.passed, r.failures[:3]
     assert r.elapsed < 5.0, f"{r.elapsed:.2f}s"
+    assert _digest(r) == REPORT_SHA256["gamma"]
     edge_count = sum(f["edges"] for f in r.findings)
     _ok(7, f"closed-form == definitional edges to 10^6 ({edge_count} edges), {r.elapsed:.2f}s")
 
@@ -145,6 +156,7 @@ def test_criterion_09_zsigmondy_exceptions():
     (finding,) = r.findings
     assert finding["inclusions"] == [[2, 6], [3, 2], [7, 2], [15, 2]]
     assert r.elapsed < 10.0, f"{r.elapsed:.2f}s"
+    assert _digest(r) == REPORT_SHA256["zsigmondy"]
     _ok(9, f"inclusion holds exactly on (2,6) and (2^k-1, 2), {r.elapsed:.2f}s")
 
 
@@ -156,6 +168,7 @@ def test_criterion_10_consecutive_perfect_powers():
     assert dt < 10.0, f"{dt:.2f}s"
     r = run_suite("powers")
     assert r.passed and r.findings == ({"consecutive_pairs": [[8, 9]]},)
+    assert _digest(r) == REPORT_SHA256["powers"]
     _ok(10, f"only 8,9 below 10^6, {dt:.2f}s")
 
 
@@ -166,6 +179,7 @@ def test_criterion_11_power_chains():
     nontrivial = {f["x"] for f in r.findings}
     assert nontrivial == {3, 7, 15, 31}  # exactly the 2^m - 1 shapes
     assert r.elapsed < 8.0, f"{r.elapsed:.2f}s"
+    assert _digest(r) == REPORT_SHA256["chains"]
     _ok(11, f"chains: {{1}} for odd non-Mersenne bases, 1 always present, monotone, {r.elapsed:.2f}s")
 
 

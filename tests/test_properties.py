@@ -174,6 +174,11 @@ def test_prime_factors_equals_the_validated_prime_set(x):
 @given(small_sets, st.integers(1, 500), st.integers(1, 500))
 def test_signatures_equal_the_validated_prime_set(E, x, y):
     _same_as_validated(compute_A(E))
+    # a descriptor reads A and Pi from alpha: they must agree with the scan
+    # and with the common divisors found by factoring gcd(E)
+    d = descriptor(E)
+    assert d.A == compute_A(E)
+    assert d.Pi == prime_factors(math.gcd(*E))
     if x != y:
         got = pair_A(x, y)
         _same_as_validated(got)

@@ -385,13 +385,37 @@ def _le_missing_as_zero(dE, dF):
     return all(aE.get(p, 0) in (0, k) for p, k in dF.alpha.items())
 
 
+def _subset_ignoring_free_primes(s1, s2):
+    # skips the primes s2 constrains but s1 leaves free
+    return all(
+        all(r in s2.allowed_residues(p) for r in s1.allowed_residues(p))
+        for p in s2.primes_mentioned()
+        if s1.allowed_residues(p) is not None
+    )
+
+
+def _subset_any_zero_set(s1, s2):
+    # accepts any residue set that holds 0 as containing what s1 allows
+    for p in s2.primes_mentioned():
+        ok, got = s2.allowed_residues(p), s1.allowed_residues(p)
+        if got is None:
+            if len(ok) < p:
+                return False
+        elif 0 not in ok:
+            return False
+    return True
+
+
 # a planted fault: the name it replaces, the replacement, and every module
-# that holds the name; the first row plants nothing
+# that holds the name; the first row plants nothing.  The subset rows plant
+# the fault in the oracle side
 _ORDER_FAULTS = {
     "none": (None, None, ()),
     "le_equal_only": ("_le_descriptors", _le_equal_only, (filters, verify)),
     "le_missing_as_zero": ("_le_descriptors", _le_missing_as_zero, (filters, verify)),
     "member_always_true": ("_member_of_filter", lambda *args: True, (verify,)),
+    "subset_ignoring_free_primes": ("congruence_set_subset", _subset_ignoring_free_primes, (verify,)),
+    "subset_any_zero_set": ("congruence_set_subset", _subset_any_zero_set, (verify,)),
 }
 
 
@@ -402,3 +426,60 @@ def test_order_suite_reports_each_planted_fault(monkeypatch, fault):
         monkeypatch.setattr(module, name, broken)
     report = run_suite("order", {"max_value": 12, "random_max": 40}, seed=3)
     assert (report.failure_count > 0) == bool(modules), report.failure_count
+
+
+def _realize_failures():
+    # the realize suite's prime pool is fixed, so a smaller one goes to the
+    # suite function itself
+    _, rec, _ = verify._suite_realize({"prime_pool": (2, 3, 5, 7)}, random.Random(0))
+    return rec.total
+
+
+def _pairA_failures():
+    return run_suite("pairA", {"max_value": 60}, seed=1).failure_count
+
+
+def _realize_least_shifted(A, alpha):
+    E = filters.realize(A, alpha)
+    return (E[0] + 2,) + E[1:]
+
+
+def _descriptor_without_zeros(E):
+    d = filters.descriptor(E)
+    return filters.FilterDescriptor(d.E, {p: k for p, k in d.alpha.items() if k})
+
+
+def _drop_largest_odd_prime(route):
+    def broken(*args):
+        A = route(*args)
+        return PrimeSet.of(A.elements[:-1]) if len(A) > 1 else A
+
+    return broken
+
+
+# a planted fault per row: the suite run that must see it, then as in
+# _ORDER_FAULTS the name it replaces, the replacement and the modules that
+# hold the name; a suite's first row plants nothing
+_SUITE_FAULTS = {
+    "realize-none": (_realize_failures, None, None, ()),
+    "realize-least_shifted": (_realize_failures, "realize", _realize_least_shifted, (verify,)),
+    "realize-alpha_zeros_dropped": (
+        _realize_failures, "descriptor", _descriptor_without_zeros, (verify,),
+    ),
+    "pairA-none": (_pairA_failures, None, None, ()),
+    "pairA-compute_A_drops_largest_odd": (
+        _pairA_failures, "compute_A", _drop_largest_odd_prime(filters.compute_A), (verify,),
+    ),
+    "pairA-pair_A_drops_largest_odd": (
+        _pairA_failures, "pair_A", _drop_largest_odd_prime(filters.pair_A), (verify,),
+    ),
+}
+
+
+@pytest.mark.parametrize("fault", list(_SUITE_FAULTS))
+def test_suites_report_each_planted_fault(monkeypatch, fault):
+    failures, name, broken, modules = _SUITE_FAULTS[fault]
+    for module in modules:
+        monkeypatch.setattr(module, name, broken)
+    count = failures()
+    assert (count > 0) == bool(modules), count
