@@ -225,18 +225,18 @@ def realize(A, alpha) -> tuple:
 def generator(d: FilterDescriptor, L=()) -> CongruenceSet:
     """A generating congruence set of the filter of d, forcing extra primes L.
 
-    L must be disjoint from A.  The output forces the primes of L and
-    carries the two-class constraint p -> alpha(p) for every signature
-    prime with alpha(p) != 0: the odd ones outside Pi, plus the (vacuous)
-    marker 2 -> 1.
+    L must be disjoint from A.  The output is a merge of two maps: p -> 0
+    for each p of L (forced), and p -> alpha(p) for every signature prime
+    with alpha(p) != 0 (two-class): the odd ones outside Pi, plus the
+    vacuous marker 2 -> 1.
     """
     if d.alpha is None:
         raise BadShape("singleton filters have no congruence-set generators")
-    L = L if isinstance(L, PrimeSet) else PrimeSet.of(L)
-    clash = [p for p in L if p in d.alpha]
+    L = [int(p) for p in L]
+    clash = sorted({p for p in L if p in d.alpha})
     if clash:
         raise OverlapError(f"extra primes {clash} already lie in the signature")
-    return CongruenceSet(tuple(L), tuple((p, k) for p, k in d.alpha.items() if k))
+    return CongruenceSet({**dict.fromkeys(L, 0), **{p: k for p, k in d.alpha.items() if k}})
 
 
 def _le_descriptors(dE: FilterDescriptor, dF: FilterDescriptor) -> bool:

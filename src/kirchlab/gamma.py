@@ -34,7 +34,8 @@ any enumeration (degree_infinite).
 
 A bounded slice takes a bound of at most MAX_OPERAND = 10**9; a larger one
 is refused with a ValueError naming the cap, as the definition route tests
-every vertex pair.
+every vertex pair.  degree_infinite and export_dot read a vertex's exponents
+by repeated division, so they refuse a vertex of more than 4096 bits.
 """
 from __future__ import annotations
 
@@ -43,6 +44,10 @@ from itertools import combinations
 from typing import Optional
 
 from .numtheory import MAX_OPERAND, NotPrime, PrimeType, classify_prime, is_prime
+
+
+# the gamma suite's largest vertex, 2**159 * 31**160, has 952 bits
+_MAX_VERTEX_BITS = 4096
 
 
 class NotAVertex(ValueError):
@@ -185,6 +190,9 @@ def _exponents(p: int, v: int) -> tuple:
     v = int(v)
     if v < 1:
         raise NotAVertex(f"{v} is not positive")
+    if v.bit_length() > _MAX_VERTEX_BITS:
+        # each division below is linear in v's size, so the strip is quadratic
+        raise ValueError(f"vertices capped at {_MAX_VERTEX_BITS} bits, got {v.bit_length()}")
     e2 = 0
     while v % 2 == 0:
         v //= 2

@@ -8,9 +8,12 @@ per-prime conditions, one for each prime divisor p of b:
 * if p divides a:   z must be divisible by p               ("forced divisor")
 * otherwise:        z must lie in {0, a mod p} modulo p    ("two-class")
 
-CongruenceSet is the normal form for such cut-out sets: forced prime
-divisors plus two-class constraints (p, k) with 0 < k < p, held as one map
-p -> residues allowed mod p, (0,) or (0, k).
+CongruenceSet is the normal form for such cut-out sets: one map p -> k with
+0 <= k < p, the same shape as a filter descriptor's alpha, where k = 0
+forces p as a divisor and 0 < k < p allows the two classes {0, k} mod p.
+closure reads k = a mod p off each prime of b, intersect meets two maps
+prime by prime, and filters.generator merges two maps (forced extra primes
+and the nonzero entries of alpha).
 Since every constraint allows residue 0, a CongruenceSet always contains
 the product of its primes — it is never empty, and neither is the
 intersection of two of them.
@@ -27,7 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .numtheory import MAX_OPERAND, is_prime, is_square_free, prime_factors
+from .numtheory import MAX_OPERAND, NotPrime, is_prime, is_square_free, prime_factors
 
 MAX_WINDOW = 10**6  # most values one members() call lists
 
@@ -62,61 +65,56 @@ def progressions_intersect(p1: Progression, p2: Progression) -> bool:
 
 @dataclass(frozen=True)
 class CongruenceSet:
-    """{z : p | z for forced p} intersect {z : z mod p in {0, k}} over constraints.
+    """{z >= 1 : z mod p in {0, k} for every p -> k of residues}.
 
-    forced_divisors: ascending tuple of primes that must divide z.
-    two_class_constraints: ascending tuple of (p, k) pairs, 0 < k < p,
-    with p not among the forced divisors.
-
-    Both are read into one map p -> allowed residues mod p, ascending in p:
-    (0,) for a forced divisor and (0, k) for a two-class prime.  Every
-    query below reads that map alone.
+    residues: one map p -> k, ascending in p, with 0 <= k < p: the same
+    shape as a descriptor's alpha.  k = 0 makes p a forced divisor (z mod p
+    must be 0); 0 < k < p makes p a two-class prime (z mod p in {0, k}).
+    The marker 2 -> 1 allows every residue.  Every constraint prime is
+    checked against MAX_OPERAND before its primality is tested.
     """
 
-    forced_divisors: tuple = ()
-    two_class_constraints: tuple = ()
-    _allowed: dict = field(init=False, repr=False, compare=False)
+    residues: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        forced = tuple(sorted(int(p) for p in self.forced_divisors))
-        pairs = tuple(sorted((int(p), int(k)) for p, k in self.two_class_constraints))
-        object.__setattr__(self, "forced_divisors", forced)
-        object.__setattr__(self, "two_class_constraints", pairs)
-        allowed = {}
-        for p, residues in sorted([(p, (0,)) for p in forced] + [(p, (0, k)) for p, k in pairs]):
+        residues = {}
+        for p, k in sorted((int(p), int(k)) for p, k in dict(self.residues).items()):
+            if p > MAX_OPERAND:
+                raise ValueError(f"constraint primes capped at {MAX_OPERAND}, got {p}")
             if not is_prime(p):
-                raise ValueError(f"constraint prime {p} is not prime")
-            if p in allowed:
-                raise ValueError(f"prime {p} mentioned twice")
-            k = residues[-1]
-            if residues != (0,) and not 0 < k < p:
-                raise ValueError(f"two-class residue must satisfy 0 < k < p, got {k} mod {p}")
-            allowed[p] = residues
-        object.__setattr__(self, "_allowed", allowed)
+                raise NotPrime(f"constraint prime {p} is not prime")
+            if not 0 <= k < p:
+                raise ValueError(f"residue must satisfy 0 <= k < p, got {k} mod {p}")
+            residues[p] = k
+        object.__setattr__(self, "residues", residues)
+
+    def __hash__(self):
+        return hash(tuple(self.residues.items()))
 
     def primes_mentioned(self) -> tuple:
-        return tuple(self._allowed)
+        return tuple(self.residues)
 
     @property
     def period(self) -> int:
-        return math.prod(self._allowed)
+        return math.prod(self.residues)
 
     def allowed_residues(self, p: int):
         """Residues permitted mod p: (0,), (0, k), or None when unconstrained."""
-        return self._allowed.get(p)
+        k = self.residues.get(p)
+        return None if k is None else (0, k) if k else (0,)
 
     def contains(self, z: int) -> bool:
         z = int(z)
-        return z >= 1 and all(z % p in allowed for p, allowed in self._allowed.items())
+        return z >= 1 and all(z % p in (0, k) for p, k in self.residues.items())
 
     __contains__ = contains
 
     def members(self, lo: int, hi: int) -> list:
         """All members in the window [lo, hi], ascending, by enumeration.
 
-        Each constraint allows R_p residues mod p (allowed_residues): (0,)
-        for a forced divisor, (0, k) for a two-class prime; a constraint
-        allowing every residue, the marker 2 -> 1, is dropped.  Taking the
+        Each constraint p -> k allows R_p residues mod p: (0,) for a forced
+        divisor (k = 0), (0, k) for a two-class prime; the marker 2 -> 1,
+        which allows every residue, is dropped from the list.  Taking the
         primes most selective first (least R_p / p), each one either joins
         the CRT modulus Q, multiplying the R residues mod Q by R_p, or is
         kept back to filter the candidates, whichever lowers the estimated
@@ -140,7 +138,9 @@ class CongruenceSet:
         n = hi - lo + 1
         if n > MAX_WINDOW:
             raise ValueError(f"window capped at {MAX_WINDOW} values, got {n}")
-        constraints = [(p, allowed) for p, allowed in self._allowed.items() if len(allowed) < p]
+        constraints = [
+            (p, (0, k) if k else (0,)) for p, k in self.residues.items() if (p, k) != (2, 1)
+        ]
         constraints.sort(key=lambda c: len(c[1]) / c[0])
         Q, residues, kept_back = 1, [0], []
         for p, allowed in constraints:
@@ -161,8 +161,8 @@ class CongruenceSet:
 
     def to_json_dict(self) -> dict:
         return {
-            "forced": list(self.forced_divisors),
-            "two_class": {str(p): str(k) for p, k in self.two_class_constraints},
+            "forced": [p for p, k in self.residues.items() if k == 0],
+            "two_class": {str(p): str(k) for p, k in self.residues.items() if k},
         }
 
 
@@ -175,31 +175,16 @@ def closure(a: int, b: int) -> CongruenceSet:
     a, b = int(a), int(b)
     if a < 1 or b < 1:
         raise ValueError("need a >= 1 and b >= 1")
-    forced = []
-    two_class = []
-    for p in prime_factors(b):
-        r = a % p
-        if r == 0:
-            forced.append(p)
-        elif p != 2:
-            two_class.append((p, r))
-    return CongruenceSet(tuple(forced), tuple(two_class))
+    return CongruenceSet({p: a % p for p in prime_factors(b) if p != 2 or a % 2 == 0})
 
 
 def intersect(s1: CongruenceSet, s2: CongruenceSet) -> CongruenceSet:
     """Intersection of two congruence sets, again in normal form.
 
-    The per-prime allowed-residue sets are intersected.  Each of them
-    holds residue 0, so every meet does too: the intersection is never
-    empty, as it contains the product of the primes of both sets.
+    Prime by prime, {0, k1} meets {0, k2} in {0, k1} when k1 = k2 and in
+    {0} otherwise, and a prime of one set alone keeps its k.  Each meet
+    holds residue 0, so the intersection is never empty: it contains the
+    product of the primes of both sets.
     """
-    forced = []
-    two_class = []
-    for p in sorted(s1._allowed.keys() | s2._allowed.keys()):
-        r1, r2 = s1._allowed.get(p), s2._allowed.get(p)
-        k = max(set(r1 or r2) & set(r2 or r1))  # the meet is {0} or {0, k}
-        if k == 0:
-            forced.append(p)
-        else:
-            two_class.append((p, k))
-    return CongruenceSet(tuple(forced), tuple(two_class))
+    r1, r2 = s1.residues, s2.residues
+    return CongruenceSet({p: k if r1.get(p, k) == k else 0 for p, k in {**r1, **r2}.items()})

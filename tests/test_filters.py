@@ -200,16 +200,13 @@ def test_realize_rejects_bad_shapes():
 
 def test_generator_examples():
     g = generator(descriptor((1, 2)))
-    assert g.forced_divisors == ()
-    assert g.two_class_constraints == ((2, 1),)
+    assert g.residues == {2: 1}
 
     g = generator(descriptor((3, 6)), PrimeSet.of((5,)))
-    assert g.forced_divisors == (5,)
-    assert g.two_class_constraints == ((2, 1),)
+    assert g.residues == {2: 1, 5: 0}
 
     g = generator(descriptor((5, 3, 6)))
-    assert g.forced_divisors == ()
-    assert dict(g.two_class_constraints) == {2: 1, 3: 2}
+    assert g.residues == {2: 1, 3: 2}
 
 
 def test_generator_denotes_same_set_as_matching_closure():
@@ -218,7 +215,7 @@ def test_generator_denotes_same_set_as_matching_closure():
     g = generator(descriptor((5, 3, 6)))
     c = closure(5, 6)
     assert g.members(1, 60) == c.members(1, 60)
-    assert g.two_class_constraints != c.two_class_constraints
+    assert g.residues != c.residues
 
 
 def test_generator_errors():

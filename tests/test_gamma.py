@@ -111,6 +111,9 @@ def test_degree_examples():
     assert degree_infinite(7, 7) == 2
     for k in (1, 2, 3):
         assert degree_infinite(11, 11**k) == 1
+    # a vertex of 4096 bits, the cap, is still answered; with every family
+    # offset in reach, the degree of 3 * 2**a no longer depends on a
+    assert degree_infinite(3, 3 << 4094) == degree_infinite(3, 3 << 10)
 
 
 def test_degree_counts_match_a_truncated_graph():

@@ -56,27 +56,23 @@ def test_progressions_intersect_matches_enumeration():
 
 def test_closure_examples():
     c = closure(5, 6)
-    assert c.forced_divisors == ()
-    assert c.two_class_constraints == ((3, 2),)
+    assert c.residues == {3: 2}
     assert c.members(1, 12) == [2, 3, 5, 6, 8, 9, 11, 12]
 
     c = closure(4, 15)
-    assert c.forced_divisors == ()
-    assert dict(c.two_class_constraints) == {3: 1, 5: 4}
+    assert c.residues == {3: 1, 5: 4}
 
     c = closure(15, 2)
-    assert c.forced_divisors == ()
-    assert c.two_class_constraints == ()
+    assert c.residues == {}
     assert c.members(1, 6) == [1, 2, 3, 4, 5, 6]  # closure of an odd progression is everything
 
     c = closure(10, 21)
-    assert dict(c.two_class_constraints) == {3: 1, 7: 3}
+    assert c.residues == {3: 1, 7: 3}
 
 
 def test_closure_forced_divisor_case():
     c = closure(6, 15)
-    assert c.forced_divisors == (3,)
-    assert dict(c.two_class_constraints) == {5: 1}
+    assert c.residues == {3: 0, 5: 1}
     assert 6 in c and 15 in c and 21 in c
     assert 3 not in c  # 3 mod 5 lands outside {0, 1}
     assert 5 not in c  # not divisible by 3
@@ -91,7 +87,7 @@ def test_closure_is_superset_of_progression():
 
 
 def test_congruence_set_period_and_membership():
-    s = CongruenceSet(forced_divisors=(3,), two_class_constraints=((5, 1),))
+    s = CongruenceSet({3: 0, 5: 1})
     assert s.period == 15
     listed = [z for z in range(1, 31) if z in s]
     assert listed == s.members(1, 30)
@@ -100,14 +96,12 @@ def test_congruence_set_period_and_membership():
 
 def test_congruence_set_validation():
     with pytest.raises(ValueError):
-        CongruenceSet(forced_divisors=(4,), two_class_constraints=())
+        CongruenceSet({4: 0})
     with pytest.raises(ValueError):
-        CongruenceSet(forced_divisors=(3,), two_class_constraints=((3, 1),))
+        CongruenceSet({5: 5})
     with pytest.raises(ValueError):
-        CongruenceSet(forced_divisors=(), two_class_constraints=((5, 5),))
-    with pytest.raises(ValueError):
-        CongruenceSet(forced_divisors=(), two_class_constraints=((5, 0),))
-    s = CongruenceSet(forced_divisors=(), two_class_constraints=())
+        CongruenceSet({5: -1})
+    s = CongruenceSet({})
     with pytest.raises(ValueError):
         s.members(0, 5)
     with pytest.raises(ValueError):
@@ -150,12 +144,12 @@ def test_intersect_agrees_with_pointwise_intersection():
 
 
 def test_intersect_conflicting_residues_is_empty():
-    s1 = CongruenceSet(forced_divisors=(), two_class_constraints=((5, 1),))
-    s2 = CongruenceSet(forced_divisors=(), two_class_constraints=((5, 2),))
+    s1 = CongruenceSet({5: 1})
+    s2 = CongruenceSet({5: 2})
     out = intersect(s1, s2)
     # residues {0,1} n {0,2} = {0}: the prime becomes forced, not empty
-    assert out.forced_divisors == (5,)
-    s3 = CongruenceSet(forced_divisors=(3,), two_class_constraints=())
+    assert out.residues == {5: 0}
+    s3 = CongruenceSet({3: 0})
     assert intersect(s1, s3).period == 15
 
 

@@ -34,11 +34,20 @@ from kirchlab import (
     prime_factors,
     primes_from_order,
     primes_upto,
+    progressions_intersect,
     realize,
     upset_in_Fprime,
     zsigmondy_inclusion,
 )
 from kirchlab.filters import MAX_ORDER_BOUND, MAX_UPSET_PRIME
+from kirchlab.gamma import (
+    degree_infinite,
+    edges_by_definition,
+    edges_closed_form,
+    export_dot,
+    gamma_graph,
+    vertices,
+)
 from kirchlab.numtheory import MAX_OPERAND, MAX_TRIAL_OPERAND
 
 small_sets = st.sets(st.integers(1, 120), min_size=2, max_size=4).map(lambda s: tuple(sorted(s)))
@@ -94,14 +103,7 @@ SET_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 101, 10007, 1000003, 999999937)
 @st.composite
 def congruence_sets(draw):
     primes = draw(st.lists(st.sampled_from(SET_PRIMES), unique=True, max_size=10))
-    forced, two_class = [], []
-    for p in primes:
-        k = draw(st.integers(0, p - 1))
-        if k == 0:
-            forced.append(p)
-        else:
-            two_class.append((p, k))
-    return CongruenceSet(tuple(forced), tuple(two_class))
+    return CongruenceSet({p: draw(st.integers(0, p - 1)) for p in primes})
 
 
 @given(congruence_sets())
@@ -114,11 +116,11 @@ def test_every_congruence_set_holds_its_period(s):
 # whose residues 0 and 9 both fall in the window (999002997 = 999 * 1000003),
 # so that the small primes filter them; and the seven small primes alone at
 # the top of the operand range, where four of them filter the CRT candidates
-_SEVEN = ((3, 2), (5, 3), (7, 1), (11, 10), (13, 6), (17, 4), (19, 5))
+_SEVEN = {3: 2, 5: 3, 7: 1, 11: 10, 13: 6, 17: 4, 19: 5}
 
 
-@example(CongruenceSet((), _SEVEN + ((2, 1), (1000003, 9))), 3000, 999001998)
-@example(CongruenceSet((), _SEVEN + ((2, 1),)), 3000, MAX_OPERAND)
+@example(CongruenceSet({**_SEVEN, 2: 1, 1000003: 9}), 3000, 999001998)
+@example(CongruenceSet({**_SEVEN, 2: 1}), 3000, MAX_OPERAND)
 @given(congruence_sets(), st.integers(1, 3000), st.integers(1, MAX_OPERAND))
 def test_members_enumeration_equals_the_membership_scan(s, width, lo):
     lo = min(lo, MAX_OPERAND - width + 1)
@@ -229,7 +231,7 @@ def test_forcing_extra_primes_strictly_shrinks_generators(E, q):
 @example(E=(41, 82))  # A = {2, 41}: only forcing 41 meets the signature
 def test_infinity_class_matches_generator_family_shape(E):
     d = descriptor(E)
-    trivially_shaped = generator(d).two_class_constraints == ((2, 1),)
+    trivially_shaped = generator(d).residues == {2: 1}
     all_forcings_legal = True
     # every odd prime that may lie in A: none above max(E) does
     for q in primes_upto(max(E))[1:].tolist():
@@ -264,11 +266,19 @@ def test_doubleton_infinity_characterization(x, y):
 # operands up to 10**6; hypothesis favours the small end of the range
 _OPERAND = st.integers(-2, 10**6)
 _SET = st.lists(_OPERAND, max_size=4)
-_PRIMES = st.lists(st.sampled_from((2, 3, 5, 7, 11, 13, 999983)) | _OPERAND, max_size=4)
+_PRIME = st.sampled_from((2, 3, 5, 7, 11, 13, 999983)) | _OPERAND
+_PRIMES = st.lists(_PRIME, max_size=4)
 _RESIDUE = st.integers(-1, 13)  # small, so that CRT systems and alphas are often valid
 _EXPONENT = st.integers(-1, 31)  # small, so that x**n_max is often within the operand cap
 
-# each public function of numtheory and filters, with a strategy per argument
+
+def _congruence_set_queries(residues, z, lo, hi):
+    s = CongruenceSet(residues)
+    return s.contains(z), s.members(lo, hi)
+
+
+# each public function of numtheory, progressions, filters and gamma, with a
+# strategy per argument
 _LIBRARY_CALLS = (
     (primes_upto, _OPERAND),
     (is_prime, _OPERAND),
@@ -291,6 +301,24 @@ _LIBRARY_CALLS = (
     (upset_in_Fprime, _SET),
     (primes_from_order, _OPERAND, _OPERAND),
     (power_chain_equal_set, _OPERAND, _EXPONENT),
+    (lambda a, b: Progression(a, b).kirch_basic, _OPERAND, _OPERAND),
+    (closure, _OPERAND, _OPERAND),
+    (lambda a1, b1, a2, b2: intersect(closure(a1, b1), closure(a2, b2)), *[_OPERAND] * 4),
+    (
+        lambda a1, b1, a2, b2: progressions_intersect(Progression(a1, b1), Progression(a2, b2)),
+        *[_OPERAND] * 4,
+    ),
+    (
+        _congruence_set_queries,
+        st.dictionaries(_PRIME, _RESIDUE),
+        *[_OPERAND] * 3,
+    ),
+    (vertices, _OPERAND, _OPERAND),
+    (edges_by_definition, _OPERAND, _OPERAND),
+    (edges_closed_form, _OPERAND, _OPERAND),
+    (gamma_graph, _OPERAND, _OPERAND),
+    (degree_infinite, _OPERAND, _OPERAND),
+    (lambda p, bound: export_dot(gamma_graph(p, bound)), _OPERAND, _OPERAND),
 )
 
 # no call may take longer; the slowest accepted calls the docs state
@@ -335,6 +363,12 @@ def test_every_library_call_answers_or_fails_with_a_domain_error(call):
         pass
 
 
+def degree_infinite_past_the_bit_cap():
+    # 3 * 2**4095, a vertex of Gamma_3 with 4097 bits, one past the cap;
+    # given as an argument, its thousand-digit repr would be the test id
+    return degree_infinite(3, 3 << 4095)
+
+
 _PAST_CAPS = [
     (primes_upto, (MAX_OPERAND + 1,), f"capped at {MAX_OPERAND}"),
     (is_prime, (MAX_TRIAL_OPERAND + 1,), f"capped at {MAX_TRIAL_OPERAND}"),
@@ -358,6 +392,9 @@ _PAST_CAPS = [
     (consecutive_perfect_powers, (10**13 + 1,), f"capped at {10**13}"),
     (power_chain_equal_set, (MAX_OPERAND + 1, 1), f"capped at {MAX_OPERAND}"),
     (power_chain_equal_set, (2, 30), f"exceeds the capacity {MAX_OPERAND}"),
+    (CongruenceSet, ({MAX_OPERAND + 1: 0},), f"capped at {MAX_OPERAND}"),
+    (generator, (descriptor((1, 2)), (MAX_OPERAND + 1,)), f"capped at {MAX_OPERAND}"),
+    (degree_infinite_past_the_bit_cap, (), "capped at 4096 bits"),
 ]
 
 

@@ -20,6 +20,7 @@ from kirchlab import (
     filter_le,
     filter_le_oracle,
     filters,
+    gamma,
     intersect,
     run_suite,
     suite_names,
@@ -52,25 +53,19 @@ def test_closure_oracle_agrees_with_formula():
 
 
 def test_congruence_set_subset_examples():
-    fifteen = CongruenceSet(forced_divisors=(3, 5), two_class_constraints=())
-    three = CongruenceSet(forced_divisors=(3,), two_class_constraints=())
+    fifteen = CongruenceSet({3: 0, 5: 0})
+    three = CongruenceSet({3: 0})
     assert congruence_set_subset(fifteen, three)
     assert not congruence_set_subset(three, fifteen)
     assert congruence_set_subset(three, three)
-    one = CongruenceSet(forced_divisors=(), two_class_constraints=((3, 1),))
-    two = CongruenceSet(forced_divisors=(), two_class_constraints=((3, 2),))
+    one = CongruenceSet({3: 1})
+    two = CongruenceSet({3: 2})
     assert not congruence_set_subset(one, two)
 
 
 def _random_congruence_set(rng):
     picks = rng.sample((2, 3, 5, 7), rng.randrange(0, 4))
-    forced, two_class = [], []
-    for p in picks:
-        if rng.random() < 0.4:
-            forced.append(p)
-        else:
-            two_class.append((p, rng.randrange(1, p)))
-    return CongruenceSet(tuple(sorted(forced)), tuple(sorted(two_class)))
+    return CongruenceSet({p: 0 if rng.random() < 0.4 else rng.randrange(1, p) for p in picks})
 
 
 def test_congruence_set_subset_matches_window_enumeration():
@@ -439,6 +434,14 @@ def _pairA_failures():
     return run_suite("pairA", {"max_value": 60}, seed=1).failure_count
 
 
+def _closure_failures():
+    return run_suite("closure", {"a_max": 20, "b_max": 30}, seed=1).failure_count
+
+
+def _gamma_failures():
+    return run_suite("gamma", {"bound": 10**4, "grid": 4}, seed=1).failure_count
+
+
 def _realize_least_shifted(A, alpha):
     E = filters.realize(A, alpha)
     return (E[0] + 2,) + E[1:]
@@ -457,9 +460,30 @@ def _drop_largest_odd_prime(route):
     return broken
 
 
+_MEMBERS, _CONTAINS, _WITNESS = CongruenceSet.members, CongruenceSet.contains, verify._witness
+
+
+def _closure_without_forced(a, b):
+    return CongruenceSet({p: k for p, k in closure(a, b).residues.items() if k})
+
+
+def _members_dropping_last(self, lo, hi):
+    return _MEMBERS(self, lo, hi)[:-1]
+
+
+def _contains_ignoring_largest(self, z):
+    return _CONTAINS(CongruenceSet(dict(list(self.residues.items())[:-1])), z)
+
+
+def _witness_skipping_largest(zs, a, pis):
+    return _WITNESS(zs, a, pis[:-1])
+
+
 # a planted fault per row: the suite run that must see it, then as in
-# _ORDER_FAULTS the name it replaces, the replacement and the modules that
-# hold the name; a suite's first row plants nothing
+# _ORDER_FAULTS the name it replaces, the replacement and the modules (or
+# the class) that hold the name; a suite's first row plants nothing.  The
+# closure_oracle, _witness and edges_by_definition rows plant the fault in
+# the oracle side
 _SUITE_FAULTS = {
     "realize-none": (_realize_failures, None, None, ()),
     "realize-least_shifted": (_realize_failures, "realize", _realize_least_shifted, (verify,)),
@@ -472,6 +496,36 @@ _SUITE_FAULTS = {
     ),
     "pairA-pair_A_drops_largest_odd": (
         _pairA_failures, "pair_A", _drop_largest_odd_prime(filters.pair_A), (verify,),
+    ),
+    "closure-none": (_closure_failures, None, None, ()),
+    "closure-forced_dropped": (_closure_failures, "closure", _closure_without_forced, (verify,)),
+    "closure-members_drop_last": (
+        _closure_failures, "members", _members_dropping_last, (CongruenceSet,),
+    ),
+    "closure-contains_ignores_largest": (
+        _closure_failures, "contains", _contains_ignoring_largest, (CongruenceSet,),
+    ),
+    "closure-oracle_always_true": (
+        _closure_failures, "closure_oracle", lambda a, b, z: True, (verify,),
+    ),
+    "closure-witness_skips_largest": (
+        _closure_failures, "_witness", _witness_skipping_largest, (verify,),
+    ),
+    "gamma-none": (_gamma_failures, None, None, ()),
+    "gamma-closed_form_drops_last": (
+        _gamma_failures, "edges_closed_form", lambda p, n: gamma.edges_closed_form(p, n)[:-1],
+        (verify,),
+    ),
+    "gamma-definition_drops_first": (
+        _gamma_failures, "edges_by_definition", lambda p, n: gamma.edges_by_definition(p, n)[1:],
+        (verify,),
+    ),
+    "gamma-degree_plus_one": (
+        _gamma_failures, "degree_infinite", lambda p, v: gamma.degree_infinite(p, v) + 1,
+        (verify,),
+    ),
+    "gamma-pair_A_drops_largest_odd": (
+        _gamma_failures, "pair_A", _drop_largest_odd_prime(filters.pair_A), (verify,),
     ),
 }
 
