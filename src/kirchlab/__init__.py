@@ -10,7 +10,6 @@ from .numtheory import (
     NonCoprimeModuli,
     NotCoprime,
     NotPrime,
-    PrimeSet,
     PrimeType,
     SearchBoundExceeded,
     classify_prime,

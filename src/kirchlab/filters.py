@@ -33,7 +33,7 @@ import numpy as np
 
 from .numtheory import (
     MAX_OPERAND,
-    PrimeSet,
+    NotPrime,
     crt_solve,
     is_prime,
     prime_factors,
@@ -116,15 +116,15 @@ class FilterDescriptor:
     alpha: Optional[dict] = field(compare=False)
 
     @property
-    def A(self) -> Union[PrimeSet, _AllPrimes]:
-        return ALL_PRIMES if self.alpha is None else PrimeSet._trusted(tuple(self.alpha))
+    def A(self) -> Union[tuple, _AllPrimes]:
+        return ALL_PRIMES if self.alpha is None else tuple(self.alpha)
 
     @property
-    def Pi(self) -> PrimeSet:
+    def Pi(self) -> tuple:
         if self.alpha is None:
             return prime_factors(self.E[0])
         two = (2,) if all(e % 2 == 0 for e in self.E) else ()
-        return PrimeSet._trusted(two + tuple(p for p, k in self.alpha.items() if k == 0))
+        return two + tuple(p for p, k in self.alpha.items() if k == 0)
 
     def to_json_dict(self) -> dict:
         out = {
@@ -137,8 +137,8 @@ class FilterDescriptor:
         return out
 
 
-def compute_A(E: Iterable[int]) -> PrimeSet:
-    """Signature primes of E, by direct residue scan over all p <= max(E).
+def compute_A(E: Iterable[int]) -> tuple:
+    """Signature primes of E, ascending, by direct residue scan over all p <= max(E).
 
     2 always qualifies.  An odd prime p qualifies iff the nonzero residues
     of E mod p all agree, i.e. E fits in {0, k} + p*Z for k the largest
@@ -160,11 +160,11 @@ def compute_A(E: Iterable[int]) -> PrimeSet:
         block = odd[lo:lo + step]
         r = col % block
         keep += block[((r == 0) | (r == r.max(axis=0))).all(axis=0)].tolist()
-    return PrimeSet._trusted((2, *keep))
+    return (2, *keep)
 
 
-def pair_A(x: int, y: int) -> PrimeSet:
-    """Signature primes of a doubleton, via factorizations only:
+def pair_A(x: int, y: int) -> tuple:
+    """Signature primes of a doubleton, ascending, via factorizations only:
 
     A({x, y}) = {2} | primes(x) | primes(y) | primes(|x - y|).
     """
@@ -173,12 +173,7 @@ def pair_A(x: int, y: int) -> PrimeSet:
         raise ValueError("need two distinct elements")
     if min(x, y) < 1:
         raise ValueError("positive integers only")
-    return (
-        PrimeSet._trusted((2,))
-        | prime_factors(x)
-        | prime_factors(y)
-        | prime_factors(abs(x - y))
-    )
+    return tuple(sorted({2, *prime_factors(x), *prime_factors(y), *prime_factors(abs(x - y))}))
 
 
 @lru_cache(maxsize=1 << 15)
@@ -204,13 +199,20 @@ def realize(A, alpha) -> tuple:
     exactly on A with alpha(2) = 1 and 0 <= alpha(p) < p.  With x the
     product of the odd primes of A and y the least positive solution of
     z = alpha(p) mod p for all p in A, the set {y, x, 2x} has signature
-    exactly (A, alpha).  Returned sorted.
+    exactly (A, alpha).  Returned sorted.  Raises Overflow for a p of A
+    above MAX_OPERAND, checked before primality, and NotPrime for a p of A
+    that is not prime.
     """
-    A = A if isinstance(A, PrimeSet) else PrimeSet.of(A)
+    A = sorted({int(p) for p in A})
+    for p in A:
+        if p > MAX_OPERAND:
+            raise Overflow(f"primes of A capped at {MAX_OPERAND}, got {p}")
+        if not is_prime(p):
+            raise NotPrime(f"{p} is not prime")
     alpha = {int(p): int(k) for p, k in dict(alpha).items()}
     if 2 not in A or len(A) < 2:
         raise BadShape("need 2 in A together with at least one odd prime")
-    if set(alpha) != set(A.elements):
+    if set(alpha) != set(A):
         raise BadShape("alpha must be defined exactly on A")
     if alpha[2] != 1:
         raise BadShape("alpha(2) must be 1")
@@ -339,8 +341,8 @@ def upset_in_Fprime(E: Iterable[int]) -> tuple:
     return (descriptor({x, p, 2 * p}), descriptor({x, q, 2 * q}))
 
 
-def primes_from_order(x: int, p_bound: int) -> PrimeSet:
-    """Odd primes p <= p_bound dividing x, recovered from order relations only:
+def primes_from_order(x: int, p_bound: int) -> tuple:
+    """Odd primes p <= p_bound dividing x, ascending, recovered from order relations only:
 
     p | x  iff  filter({1,x}) <= filter({1,p,2p}) and
                 filter({2,x}) <= filter({2,p,2p}).
@@ -358,9 +360,9 @@ def primes_from_order(x: int, p_bound: int) -> PrimeSet:
     if p_bound > MAX_ORDER_BOUND:
         raise Overflow(f"p_bound capped at {MAX_ORDER_BOUND}, got {p_bound}")
     odd = primes_upto(p_bound)[1:].tolist()
-    return PrimeSet._trusted(tuple(
+    return tuple(
         p for p in odd if filter_le((1, x), (1, p, 2 * p)) and filter_le((2, x), (2, p, 2 * p))
-    ))
+    )
 
 
 def power_chain_equal_set(x: int, n_max: int) -> set:

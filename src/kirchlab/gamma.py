@@ -34,7 +34,8 @@ any enumeration (degree_infinite).
 
 A bounded slice takes a bound of at most MAX_OPERAND = 10**9; a larger one
 is refused with a ValueError naming the cap, as the definition route tests
-every vertex pair.  degree_infinite and export_dot read a vertex's exponents
+every vertex pair.  p is capped at MAX_OPERAND too, before its primality is
+tested.  degree_infinite and export_dot read a vertex's exponents
 by repeated division, so they refuse a vertex of more than 4096 bits.
 """
 from __future__ import annotations
@@ -83,6 +84,8 @@ def _check_bound(bound: int) -> int:
 
 def _check_odd_prime(p: int) -> int:
     p = int(p)
+    if p > MAX_OPERAND:  # before trial division, which would sieve to 10**9
+        raise ValueError(f"p capped at {MAX_OPERAND}, got {p}")
     if not is_prime(p):
         raise NotPrime(f"{p} is not prime")
     if p == 2:

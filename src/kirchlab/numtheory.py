@@ -148,78 +148,19 @@ def is_prime(n: int) -> bool:
     return n >= 2 and next(_prime_powers(n)) == (n, 1)
 
 
-@dataclass(frozen=True)
-class PrimeSet:
-    """A finite set of primes, stored as a strictly increasing tuple.
-
-    Construct with ``PrimeSet.of(iterable)`` (sorts and deduplicates) or
-    directly from an already-sorted tuple.  Both public constructors
-    validate every element; library code that already holds ascending
-    primes (factorizations, signature scans, unions) builds through the
-    trusted ``_trusted`` path instead.
-    """
-
-    elements: tuple
-
-    def __post_init__(self):
-        elems = tuple(int(p) for p in self.elements)
-        object.__setattr__(self, "elements", elems)
-        prev = 1
-        for p in elems:
-            if not is_prime(p):
-                raise NotPrime(f"{p} is not prime")
-            if p <= prev:
-                raise ValueError("elements must be strictly increasing")
-            prev = p
-        object.__setattr__(self, "_set", frozenset(elems))
-
-    @classmethod
-    def of(cls, primes: Iterable[int]) -> "PrimeSet":
-        return cls(tuple(sorted({int(p) for p in primes})))
-
-    @classmethod
-    def _trusted(cls, elems: tuple) -> "PrimeSet":
-        # elems: a tuple of ascending primes, as Python ints; not checked
-        self = object.__new__(cls)
-        object.__setattr__(self, "elements", elems)
-        object.__setattr__(self, "_set", frozenset(elems))
-        return self
-
-    def __contains__(self, p) -> bool:
-        return int(p) in self._set
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.elements)
-
-    def __len__(self) -> int:
-        return len(self.elements)
-
-    def __bool__(self) -> bool:
-        return bool(self.elements)
-
-    def __or__(self, other: "PrimeSet") -> "PrimeSet":
-        return PrimeSet._trusted(tuple(sorted(self._set | other._set)))
-
-    def issubset(self, other: "PrimeSet") -> bool:
-        return self._set <= other._set
-
-    def __repr__(self) -> str:
-        return f"PrimeSet({{{', '.join(map(str, self.elements))}}})"
-
-
 @lru_cache(maxsize=1 << 16)
 def _factor_tuple(x: int) -> tuple:
     return tuple(p for p, _ in _prime_powers(x))
 
 
-def prime_factors(x: int) -> PrimeSet:
-    """The set of distinct prime divisors of x.  prime_factors(1) is empty."""
+def prime_factors(x: int) -> tuple:
+    """The distinct prime divisors of x, ascending.  prime_factors(1) is ()."""
     x = int(x)
     if x < 1:
         raise ValueError("positive integers only")
     if x > MAX_OPERAND:
         raise ValueError(f"operands capped at {MAX_OPERAND}")
-    return PrimeSet._trusted(_factor_tuple(x))
+    return _factor_tuple(x)
 
 
 def is_square_free(b: int) -> bool:

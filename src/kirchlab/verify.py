@@ -27,7 +27,6 @@ import numpy as np
 
 from .numtheory import (
     MAX_OPERAND,
-    PrimeSet,
     classify_prime,
     consecutive_perfect_powers,
     prime_factors,
@@ -212,7 +211,7 @@ def _suite_closure(bounds, rng):
     rec = _Recorder()
     checked = 0
     for b in range(1, b_max + 1):
-        pis = prime_factors(b).elements
+        pis = prime_factors(b)
         rad = math.prod(pis)
         zs = np.arange(1, rad + 1, dtype=np.int64)
         for a in range(1, a_max + 1):
@@ -237,7 +236,7 @@ def _suite_closure(bounds, rng):
     # up to twice rad(b) wide and anywhere below the operand cap, so that
     # some primes join the CRT modulus and some filter its candidates
     for b in range(1, b_max + 1):
-        pis = prime_factors(b).elements
+        pis = prime_factors(b)
         a = rng.randint(1, a_max)
         width = rng.randint(1, 2 * math.prod(pis))
         lo = rng.randint(2, MAX_OPERAND - width + 1)
@@ -276,8 +275,8 @@ def _suite_pairA(bounds, rng):
         x = rng.randint(1, n - 1)
         y = rng.randint(x + 1, n)
         checked += 1
-        got = compute_A((x, y)).elements
-        want = pair_A(x, y).elements
+        got = compute_A((x, y))
+        want = pair_A(x, y)
         if got != want:
             rec.add([x, y], list(want), list(got))
     return checked, rec, []
@@ -290,7 +289,7 @@ def _suite_realize(bounds, rng):
     checked = 0
     for r in range(1, len(odd) + 1):
         for subset in combinations(odd, r):
-            A = PrimeSet.of((2,) + subset)
+            A = (2,) + subset
             for combo in product(*(range(p) for p in subset)):
                 alpha = {2: 1, **dict(zip(subset, combo))}
                 E = realize(A, alpha)
@@ -476,7 +475,7 @@ def _suite_gamma(bounds, rng):
         sample = rng.sample(non_edges, min(_GAMMA_NON_EDGE_SAMPLES, len(non_edges)))
         for x, y in sorted(by_def) + sample:
             edge = (x, y) in by_def
-            signature = pair_A(x, y).elements
+            signature = pair_A(x, y)
             checked += 1
             if (signature == (2, p)) != edge:
                 rec.add([p, x, y], {"signature": list(signature)}, "edge" if edge else "non-edge")

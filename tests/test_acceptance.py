@@ -23,10 +23,10 @@ def _ok(n, msg):
 
 
 # sha256 of the canonical report body (sorted keys) at the default bounds.
-# The first four were recorded before the order oracle's generator memo,
-# the trusted PrimeSet path and the row-streamed pair scans, the other six
-# before the descriptor came to store E and alpha alone; a refactor or an
-# optimization must keep each one
+# The first four were recorded before the order oracle's generator memo
+# and the row-streamed pair scans, the other six before the descriptor came
+# to store E and alpha alone, and all ten before prime sets became plain
+# ascending tuples; a refactor or an optimization must keep each one
 REPORT_SHA256 = {
     "pairA": "ef53a0a23fa436293c709288a80a21adbc2cdbc6e768d9bc13b6ef6cac86fb89",
     "realize": "3c93264cfb0158404095e0eec9319454da0a79b3217edd78ba1dd50c4c59a46c",
@@ -186,8 +186,8 @@ def test_criterion_11_power_chains():
 def test_criterion_12_prime_recovery_from_order_relations():
     t0 = time.perf_counter()
     for x in range(3, 201):
-        got = set(primes_from_order(x, x).elements) | {2}
-        want = set(prime_factors(x).elements) | {2}
+        got = set(primes_from_order(x, x)) | {2}
+        want = set(prime_factors(x)) | {2}
         assert got == want, (x, sorted(got), sorted(want))
     dt = time.perf_counter() - t0
     _ok(12, f"odd prime support of every x in [3,200] recovered from the order, {dt:.2f}s")

@@ -219,6 +219,7 @@ def test_verify_bound_at_a_least_value_of_zero_runs():
             "max_base ** max_exponent = 1073741824 must be at most 1000000000",
         ),
         (("primes", "classify", 10**22 + 1), "capped at 1000000000000000000"),
+        (("gamma", 10**9 + 7, "--bound", 5), "p capped at 1000000000"),
     ],
 )
 def test_argv_just_over_a_cap_is_a_domain_error(argv, cap):
@@ -240,6 +241,23 @@ def test_oversized_verify_argv_is_refused_before_any_work(argv):
     code, out, _ = _dispatch(list(argv))
     assert time.perf_counter() - t0 < 1.0
     assert (code, out) == (1, "")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("realize", "--primes", "2,999999999999999989", "--alpha", "1,5"),
+        ("gamma", "999999999999999989", "--bound", "5"),
+    ],
+    ids=" ".join,
+)
+def test_prime_near_the_trial_cap_is_refused_before_any_work(argv):
+    # testing this prime by trial division would grow the table to 10**9
+    t0 = time.perf_counter()
+    code, out, err = _dispatch(list(argv))
+    assert time.perf_counter() - t0 < 1.0
+    assert (code, out) == (1, "")
+    assert "capped at 1000000000," in err
 
 
 def test_verify_unknown_suite_is_usage_error():

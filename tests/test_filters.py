@@ -12,7 +12,6 @@ from kirchlab import (
     NotPrime,
     OverlapError,
     Overflow,
-    PrimeSet,
     TooSmall,
     WrongClass,
     classify,
@@ -50,10 +49,10 @@ def _brute_signature(E):
 
 
 def test_compute_A_examples():
-    assert compute_A((5, 10)).elements == (2, 5)
-    assert compute_A((4, 8)).elements == (2,)
-    assert compute_A((1, 3, 6)).elements == (2, 3)
-    assert compute_A((1, 2)).elements == (2,)
+    assert compute_A((5, 10)) == (2, 5)
+    assert compute_A((4, 8)) == (2,)
+    assert compute_A((1, 3, 6)) == (2, 3)
+    assert compute_A((1, 2)) == (2,)
 
 
 def test_compute_A_matches_definition_scan():
@@ -61,7 +60,7 @@ def test_compute_A_matches_definition_scan():
     for _ in range(150):
         size = rng.choice((2, 3, 4))
         E = tuple(sorted(rng.sample(range(1, 400), size)))
-        assert compute_A(E).elements == _brute_signature(E), E
+        assert compute_A(E) == _brute_signature(E), E
 
 
 def test_compute_A_rejects_singletons():
@@ -70,10 +69,10 @@ def test_compute_A_rejects_singletons():
 
 
 def test_pair_A_examples():
-    assert pair_A(1, 2).elements == (2,)
-    assert pair_A(3, 6).elements == (2, 3)
-    assert pair_A(7, 56).elements == (2, 7)
-    assert pair_A(5, 10).elements == (2, 5)
+    assert pair_A(1, 2) == (2,)
+    assert pair_A(3, 6) == (2, 3)
+    assert pair_A(7, 56) == (2, 7)
+    assert pair_A(5, 10) == (2, 5)
 
 
 def test_pair_A_equals_compute_A_sample():
@@ -83,7 +82,7 @@ def test_pair_A_equals_compute_A_sample():
         y = rng.randrange(1, 500)
         if x == y:
             continue
-        assert pair_A(x, y).elements == compute_A((x, y)).elements, (x, y)
+        assert pair_A(x, y) == compute_A((x, y)), (x, y)
 
 
 # ------------------------------------------------------------ descriptors
@@ -91,19 +90,19 @@ def test_pair_A_equals_compute_A_sample():
 
 def test_descriptor_examples():
     d = descriptor((3, 6))
-    assert d.A.elements == (2, 3)
-    assert d.Pi.elements == (3,)
+    assert d.A == (2, 3)
+    assert d.Pi == (3,)
     assert d.alpha == {2: 1, 3: 0}
 
     d = descriptor((5, 3, 6))
     assert d.E == (3, 5, 6)
-    assert d.A.elements == (2, 3)
-    assert d.Pi.elements == ()
+    assert d.A == (2, 3)
+    assert d.Pi == ()
     assert d.alpha == {2: 1, 3: 2}
 
     d = descriptor((7,))
     assert d.A is ALL_PRIMES
-    assert d.Pi.elements == (7,)
+    assert d.Pi == (7,)
 
 
 def test_descriptor_is_cached_and_order_insensitive():
@@ -116,7 +115,7 @@ def test_descriptor_alpha_conditions_hold_on_random_sets():
         E = tuple(sorted(rng.sample(range(1, 200), rng.choice((2, 3, 4)))))
         d = descriptor(E)
         assert 2 in d.A
-        assert d.Pi.issubset(d.A)
+        assert set(d.Pi) <= set(d.A)
         assert d.alpha[2] == 1
         for p in d.A:
             if p == 2:
@@ -162,37 +161,37 @@ def test_descriptor_json_round_trips_for_random_sets():
 
 
 def test_realize_examples():
-    assert realize(PrimeSet.of((2, 3)), {2: 1, 3: 2}) == (3, 5, 6)
-    assert realize(PrimeSet.of((2, 3, 5)), {2: 1, 3: 1, 5: 2}) == (7, 15, 30)
+    assert realize((2, 3), {2: 1, 3: 2}) == (3, 5, 6)
+    assert realize((2, 3, 5), {2: 1, 3: 1, 5: 2}) == (7, 15, 30)
     # alpha(p)=0 collapses y onto x: {p,p,2p} -> {p,2p}
-    assert realize(PrimeSet.of((2, 3)), {2: 1, 3: 0}) == (3, 6)
+    assert realize((2, 3), {2: 1, 3: 0}) == (3, 6)
 
 
 def test_realize_round_trip():
-    A = PrimeSet.of((2, 3, 7))
+    A = (2, 3, 7)
     alpha = {2: 1, 3: 2, 7: 0}
     E = realize(A, alpha)
     d = descriptor(E)
-    assert d.A.elements == A.elements
+    assert d.A == A
     assert d.alpha == alpha
-    assert d.Pi.elements == (7,)
+    assert d.Pi == (7,)
 
 
 def test_realize_rejects_bad_shapes():
     with pytest.raises(BadShape):
-        realize(PrimeSet.of((2,)), {2: 1})  # A = {2}
+        realize((2,), {2: 1})  # A = {2}
     with pytest.raises(BadShape):
-        realize(PrimeSet.of((3, 5)), {3: 1, 5: 1})  # 2 missing
+        realize((3, 5), {3: 1, 5: 1})  # 2 missing
     with pytest.raises(BadShape):
-        realize(PrimeSet.of((2, 3)), {2: 0, 3: 1})  # alpha(2) != 1
+        realize((2, 3), {2: 0, 3: 1})  # alpha(2) != 1
     with pytest.raises(BadShape):
-        realize(PrimeSet.of((2, 3)), {2: 1})  # alpha not defined on all of A
+        realize((2, 3), {2: 1})  # alpha not defined on all of A
     with pytest.raises(BadShape):
-        realize(PrimeSet.of((2, 3)), {2: 1, 3: 3})  # residue out of range
+        realize((2, 3), {2: 1, 3: 3})  # residue out of range
     with pytest.raises(BadShape):
-        realize(PrimeSet.of((2, 3)), {2: 1, 3: 1, 5: 1})  # alpha off-domain
+        realize((2, 3), {2: 1, 3: 1, 5: 1})  # alpha off-domain
     with pytest.raises(NotPrime):
-        realize([2, 9], {2: 1, 9: 1})  # a plain A is validated element by element
+        realize([2, 9], {2: 1, 9: 1})  # every p of A is tested for primality
 
 
 # ------------------------------------------------------------ generator
@@ -202,7 +201,7 @@ def test_generator_examples():
     g = generator(descriptor((1, 2)))
     assert g.residues == {2: 1}
 
-    g = generator(descriptor((3, 6)), PrimeSet.of((5,)))
+    g = generator(descriptor((3, 6)), (5,))
     assert g.residues == {2: 1, 5: 0}
 
     g = generator(descriptor((5, 3, 6)))
@@ -220,7 +219,7 @@ def test_generator_denotes_same_set_as_matching_closure():
 
 def test_generator_errors():
     with pytest.raises(OverlapError):
-        generator(descriptor((3, 6)), PrimeSet.of((3,)))
+        generator(descriptor((3, 6)), (3,))
     with pytest.raises(BadShape):
         generator(descriptor((7,)))  # singleton has no finite signature
 
@@ -318,10 +317,10 @@ def test_upset_rejects_other_classes():
 
 
 def test_primes_from_order_examples():
-    assert primes_from_order(15, 15).elements == (3, 5)
-    assert primes_from_order(8, 8).elements == ()
-    assert primes_from_order(9, 9).elements == (3,)
-    assert primes_from_order(45, 45).elements == (3, 5)
+    assert primes_from_order(15, 15) == (3, 5)
+    assert primes_from_order(8, 8) == ()
+    assert primes_from_order(9, 9) == (3,)
+    assert primes_from_order(45, 45) == (3, 5)
 
 
 def test_primes_from_order_is_total():
@@ -330,7 +329,7 @@ def test_primes_from_order_is_total():
         with pytest.raises(Overflow, match=f"x capped at {MAX_OPERAND}$"):
             primes_from_order(x, 2)
     # no prime above x divides it, so p_bound is clamped to x
-    assert primes_from_order(30, 10**10).elements == (3, 5)
+    assert primes_from_order(30, 10**10) == (3, 5)
     with pytest.raises(Overflow, match=f"p_bound capped at {MAX_ORDER_BOUND}, got {MAX_ORDER_BOUND + 1}"):
         primes_from_order(MAX_OPERAND, MAX_ORDER_BOUND + 1)
 

@@ -15,7 +15,6 @@ from kirchlab import (
     NonCoprimeModuli,
     NotCoprime,
     NotPrime,
-    PrimeSet,
     SearchBoundExceeded,
     classify_prime,
     consecutive_perfect_powers,
@@ -154,10 +153,10 @@ def test_prime_factors_recovers_every_integer_up_to_1e5():
 
 
 def test_prime_factors_examples():
-    assert prime_factors(1).elements == ()
-    assert prime_factors(12).elements == (2, 3)
-    assert prime_factors(97).elements == (97,)
-    assert prime_factors(2 * 3 * 5 * 7 * 11).elements == (2, 3, 5, 7, 11)
+    assert prime_factors(1) == ()
+    assert prime_factors(12) == (2, 3)
+    assert prime_factors(97) == (97,)
+    assert prime_factors(2 * 3 * 5 * 7 * 11) == (2, 3, 5, 7, 11)
 
 
 def test_prime_factors_rejects_nonpositive_and_huge():
@@ -210,7 +209,7 @@ def test_trial_division_matches_a_brute_force_reference(n):
     assert is_prime(n) == (ref == {n: 1})
     assert is_square_free(n) == all(e == 1 for e in ref.values())
     if n <= MAX_OPERAND:
-        assert prime_factors(n).elements == tuple(sorted(ref))
+        assert prime_factors(n) == tuple(sorted(ref))
 
 
 def test_trial_division_grows_the_table_only_as_far_as_it_divides(monkeypatch):
@@ -222,35 +221,20 @@ def test_trial_division_grows_the_table_only_as_far_as_it_divides(monkeypatch):
     assert numtheory._limit <= 1000
 
 
-def test_prime_set_behaves_like_a_set():
-    s = PrimeSet.of([5, 3, 3, 2])
-    assert s.elements == (2, 3, 5)
-    assert 3 in s and 7 not in s
-    assert len(s) == 3
-    assert bool(s)
-    assert not bool(PrimeSet.of(()))
-    t = PrimeSet.of((3, 7))
-    assert (s | t).elements == (2, 3, 5, 7)
-    assert PrimeSet.of((3,)).issubset(s)
-    assert not t.issubset(s)
+def test_realize_sorts_and_deduplicates_its_primes():
+    assert realize((3, 2, 3), {2: 1, 3: 2}) == realize((2, 3), {2: 1, 3: 2})
 
 
-def test_prime_set_rejects_non_primes():
+def test_realize_rejects_non_primes():
     with pytest.raises(NotPrime):
-        PrimeSet.of((4,))
+        realize((2, 4), {2: 1, 4: 1})
     with pytest.raises(ValueError):
-        PrimeSet.of((1,))
-    with pytest.raises(NotPrime):
-        PrimeSet((4,))
-    with pytest.raises(ValueError, match="strictly increasing"):
-        PrimeSet((5, 3))
-    with pytest.raises(ValueError, match="strictly increasing"):
-        PrimeSet((2, 2))
-    # a non-positive element is named, not reported as out of order
+        realize((1, 2), {1: 0, 2: 1})
+    # a non-positive element is named
     with pytest.raises(NotPrime, match="-1 is not prime"):
-        PrimeSet.of([-1])
+        realize((-1, 2), {-1: 0, 2: 1})
     with pytest.raises(NotPrime, match="0 is not prime"):
-        PrimeSet.of([0, 2])
+        realize((0, 2), {0: 0, 2: 1})
     with pytest.raises(NotPrime, match="-3 is not prime"):
         realize((-3, 2), {2: 1, -3: 0})
 
@@ -262,7 +246,6 @@ def test_primality_operands_above_the_cap_are_a_domain_error():
         lambda: is_prime(MAX_TRIAL_OPERAND + 1),
         lambda: is_prime(10**20),
         lambda: is_square_free(10**20),
-        lambda: PrimeSet.of([10**19 + 1]),
     ):
         with pytest.raises(ValueError, match=cap):
             call()

@@ -19,7 +19,6 @@ PUBLIC_NAMES = [
     "NotPrime",
     "Overflow",
     "OverlapError",
-    "PrimeSet",
     "PrimeType",
     "Progression",
     "SearchBoundExceeded",

@@ -27,7 +27,6 @@ from kirchlab import (
     intersect,
     is_prime,
     is_square_free,
-    PrimeSet,
     Progression,
     pair_A,
     power_chain_equal_set,
@@ -156,35 +155,39 @@ def test_superconnectedness_witness(pairs):
 def test_pair_signature_shortcut(x, y):
     if x == y:
         return
-    assert pair_A(x, y).elements == compute_A((x, y)).elements
+    assert pair_A(x, y) == compute_A((x, y))
 
 
-def _same_as_validated(s):
-    # a PrimeSet built by a trusted library path equals the one the public
-    # constructor validates from the same elements, down to the int type
-    ref = PrimeSet.of(s.elements)
-    assert s == ref and hash(s) == hash(ref)
-    assert s.elements == ref.elements and all(type(p) is int for p in s.elements)
-    assert set(s) == set(ref) and all(p in s for p in ref)
+def _assert_prime_tuple(s):
+    # every prime set the library returns has one shape: a tuple of Python
+    # ints (no numpy scalar leaks out of the prime table), strictly
+    # ascending, each one prime
+    assert type(s) is tuple
+    assert all(type(p) is int for p in s)
+    assert all(p < q for p, q in zip(s, s[1:]))
+    assert all(is_prime(p) for p in s)
 
 
 @given(st.integers(1, MAX_OPERAND))
 def test_prime_factors_equals_the_validated_prime_set(x):
-    _same_as_validated(prime_factors(x))
+    _assert_prime_tuple(prime_factors(x))
 
 
-@given(small_sets, st.integers(1, 500), st.integers(1, 500))
-def test_signatures_equal_the_validated_prime_set(E, x, y):
-    _same_as_validated(compute_A(E))
+@given(small_sets, st.integers(1, 500), st.integers(1, 500), st.integers(3, 500))
+def test_signatures_equal_the_validated_prime_set(E, x, y, z):
+    _assert_prime_tuple(compute_A(E))
     # a descriptor reads A and Pi from alpha: they must agree with the scan
     # and with the common divisors found by factoring gcd(E)
     d = descriptor(E)
+    _assert_prime_tuple(d.A)
+    _assert_prime_tuple(d.Pi)
     assert d.A == compute_A(E)
     assert d.Pi == prime_factors(math.gcd(*E))
     if x != y:
         got = pair_A(x, y)
-        _same_as_validated(got)
-        assert got.issubset(compute_A((x, y))) and compute_A((x, y)).issubset(got)
+        _assert_prime_tuple(got)
+        assert got == compute_A((x, y))
+    _assert_prime_tuple(primes_from_order(z, z))
 
 
 @given(small_sets)
@@ -205,9 +208,9 @@ def test_realize_round_trip(odd_primes, data):
         alpha[p] = data.draw(st.integers(0, p - 1))
     E = realize(A, alpha)
     d = descriptor(E)
-    assert d.A.elements == A
+    assert d.A == A
     assert d.alpha == alpha
-    assert d.Pi.elements == tuple(p for p in A if p != 2 and alpha[p] == 0)
+    assert d.Pi == tuple(p for p in A if p != 2 and alpha[p] == 0)
 
 
 @given(
@@ -284,7 +287,6 @@ _LIBRARY_CALLS = (
     (is_prime, _OPERAND),
     (prime_factors, _OPERAND),
     (is_square_free, _OPERAND),
-    (PrimeSet.of, _PRIMES),
     (crt_solve, st.lists(st.tuples(_RESIDUE, _OPERAND), max_size=3)),
     (classify_prime, _OPERAND),
     (zsigmondy_inclusion, _OPERAND, _OPERAND),
@@ -374,7 +376,6 @@ _PAST_CAPS = [
     (is_prime, (MAX_TRIAL_OPERAND + 1,), f"capped at {MAX_TRIAL_OPERAND}"),
     (is_square_free, (MAX_TRIAL_OPERAND + 1,), f"capped at {MAX_TRIAL_OPERAND}"),
     (prime_factors, (MAX_OPERAND + 1,), f"capped at {MAX_OPERAND}"),
-    (PrimeSet.of, ((2, MAX_TRIAL_OPERAND + 1),), f"capped at {MAX_TRIAL_OPERAND}"),
     (classify_prime, (MAX_TRIAL_OPERAND + 1,), f"capped at {MAX_TRIAL_OPERAND}"),
     (zsigmondy_inclusion, (2, 1449), "capped at 1048576 bits"),
     (zsigmondy_inclusion, (10**6, 325), "capped at 1048576 bits"),
@@ -393,6 +394,9 @@ _PAST_CAPS = [
     (power_chain_equal_set, (MAX_OPERAND + 1, 1), f"capped at {MAX_OPERAND}"),
     (power_chain_equal_set, (2, 30), f"exceeds the capacity {MAX_OPERAND}"),
     (CongruenceSet, ({MAX_OPERAND + 1: 0},), f"capped at {MAX_OPERAND}"),
+    (realize, ((2, MAX_OPERAND + 1), {2: 1, MAX_OPERAND + 1: 1}), f"capped at {MAX_OPERAND}"),
+    (vertices, (MAX_OPERAND + 7, 5), f"capped at {MAX_OPERAND}"),
+    (degree_infinite, (MAX_OPERAND + 7, MAX_OPERAND + 7), f"capped at {MAX_OPERAND}"),
     (generator, (descriptor((1, 2)), (MAX_OPERAND + 1,)), f"capped at {MAX_OPERAND}"),
     (degree_infinite_past_the_bit_cap, (), "capped at 4096 bits"),
 ]

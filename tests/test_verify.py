@@ -10,7 +10,6 @@ import pytest
 
 from kirchlab import (
     CongruenceSet,
-    PrimeSet,
     SuiteReport,
     TooSmall,
     UnknownSuite,
@@ -22,6 +21,7 @@ from kirchlab import (
     filters,
     gamma,
     intersect,
+    numtheory,
     run_suite,
     suite_names,
     verify,
@@ -338,7 +338,7 @@ def test_pair_scans_report_a_broken_route_in_x_then_y_order(monkeypatch):
     monkeypatch.setattr(
         verify,
         "prime_factors",
-        lambda v: PrimeSet.of(p for p in factor(v) if v % 9 or p != 3),
+        lambda v: tuple(p for p in factor(v) if v % 9 or p != 3),
     )
     report = run_suite("pairA", bounds={"max_value": 60})
     inputs = [f["input"] for f in report.failures]
@@ -442,6 +442,26 @@ def _gamma_failures():
     return run_suite("gamma", {"bound": 10**4, "grid": 4}, seed=1).failure_count
 
 
+def _classify_failures():
+    return run_suite("classify", {"max_value": 300}, seed=1).failure_count
+
+
+def _upsets_failures():
+    return run_suite("upsets", {"instances": 5}, seed=1).failure_count
+
+
+def _zsigmondy_failures():
+    return run_suite("zsigmondy", {"max_base": 10, "max_exponent": 10}).failure_count
+
+
+def _powers_failures():
+    return run_suite("powers", {"limit": 10**4}).failure_count
+
+
+def _chains_failures():
+    return run_suite("chains", {"max_base": 10, "max_exponent": 3}).failure_count
+
+
 def _realize_least_shifted(A, alpha):
     E = filters.realize(A, alpha)
     return (E[0] + 2,) + E[1:]
@@ -455,7 +475,7 @@ def _descriptor_without_zeros(E):
 def _drop_largest_odd_prime(route):
     def broken(*args):
         A = route(*args)
-        return PrimeSet.of(A.elements[:-1]) if len(A) > 1 else A
+        return A[:-1] if len(A) > 1 else A
 
     return broken
 
@@ -526,6 +546,26 @@ _SUITE_FAULTS = {
     ),
     "gamma-pair_A_drops_largest_odd": (
         _gamma_failures, "pair_A", _drop_largest_odd_prime(filters.pair_A), (verify,),
+    ),
+    "classify-none": (_classify_failures, None, None, ()),
+    "classify-always_infinity": (
+        _classify_failures, "classify", lambda E: filters.ClassLabel("FInfinity"), (verify,),
+    ),
+    "upsets-none": (_upsets_failures, None, None, ()),
+    "upsets-drops_last": (
+        _upsets_failures, "upset_in_Fprime", lambda E: filters.upset_in_Fprime(E)[:-1], (verify,),
+    ),
+    "zsigmondy-none": (_zsigmondy_failures, None, None, ()),
+    "zsigmondy-negated": (
+        _zsigmondy_failures, "zsigmondy_inclusion",
+        lambda a, n: not numtheory.zsigmondy_inclusion(a, n), (verify,),
+    ),
+    "powers-none": (_powers_failures, None, None, ()),
+    "powers-empty": (_powers_failures, "consecutive_perfect_powers", lambda limit: [], (verify,)),
+    "chains-none": (_chains_failures, None, None, ()),
+    "chains-without_one": (
+        _chains_failures, "power_chain_equal_set",
+        lambda x, n: filters.power_chain_equal_set(x, n) - {1}, (verify,),
     ),
 }
 
