@@ -64,7 +64,7 @@ class Overflow(ValueError):
 
 MAX_UPSET_PRIME = 10**4  # largest p whose case-1 up-set (p - 1 descriptors) is listed
 # largest clamped p_bound of primes_from_order: each prime p costs the
-# descriptors of {1, p, 2p} and {2, p, 2p}; (999999937, 2 * 10**5): 8.9 s, 245 MB
+# descriptors of {1, p, 2p} and {2, p, 2p}; (999999937, 2 * 10**5): 8.2-8.8 s, 235 MB
 MAX_ORDER_BOUND = 2 * 10**5
 _SCAN_CELLS = 1 << 16  # residues compute_A holds at once
 

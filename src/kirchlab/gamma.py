@@ -84,7 +84,7 @@ def _check_bound(bound: int) -> int:
 
 def _check_odd_prime(p: int) -> int:
     p = int(p)
-    if p > MAX_OPERAND:  # before trial division, which would sieve to 10**9
+    if p > MAX_OPERAND:  # no vertex 2^a * p^b lies within a bound of at most MAX_OPERAND
         raise ValueError(f"p capped at {MAX_OPERAND}, got {p}")
     if not is_prime(p):
         raise NotPrime(f"{p} is not prime")

@@ -11,22 +11,28 @@ range.  Operands are capped at MAX_OPERAND = 10**9: growing the table to
 that size takes 3-4.5 s on a 2-vCPU host and peaks at about 230 MB RSS (the
 table is 203 MB of it), which is the documented capacity of this module.
 
-Trial division (is_prime, prime_factors, is_square_free) is one scan that
-grows the table only on reaching its end: a small divisor needs no sieve.
+Only an explicit primes_upto call grows the table.  is_prime reads no
+table: it is Miller-Rabin over the bases 2..37, exact far past its 10**18
+cap.  prime_factors trial-divides by the primes up to the square root of
+its operand (at most 31622), and is_square_free by those up to the cube
+root of its operand (at most 10**6).
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Optional
 
 import numpy as np
 
 MAX_OPERAND = 10**9
-# largest operand of is_prime and is_square_free: trial division by the
-# primes up to its square root stays within the table's cap
+# largest operand of is_prime and is_square_free; its cube root, 10**6,
+# bounds the primes is_square_free divides by
 MAX_TRIAL_OPERAND = MAX_OPERAND**2
+# Miller-Rabin over these bases is exact below 3.1 * 10**23 (Sorenson and
+# Webster, Math. Comp. 2017)
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _MAX_TERMS = 10**6  # most candidates first_prime_in_progression tests
 # largest limit of consecutive_perfect_powers, which loops over every base
 # up to its square root: 10**13 takes 7-10 s and about 300 MB
@@ -111,46 +117,48 @@ def primes_upto(n: int) -> np.ndarray:
     return _primes[:idx]
 
 
-def _prime_powers(n: int) -> Iterator[tuple]:
-    # (p, e) for each prime power p**e exactly dividing n >= 1, ascending;
-    # reads the table in stages of Python ints, doubling up to 4096 primes,
-    # and grows it (doubling) only when the scan passes its end
-    i, size, p = 0, 16, 0
-    while p * p <= n:
-        if i == len(_primes):
-            if (_limit + 1) ** 2 > n:
-                break
-            primes_upto(_limit + 1)
-        stage = _primes[i:i + size].tolist()
-        i, size = i + len(stage), min(2 * size, 4096)
-        for p in stage:
-            if p * p > n:
-                break
-            if n % p == 0:
-                e = 0
-                while n % p == 0:
-                    n //= p
-                    e += 1
-                yield p, e
-    if n > 1:
-        yield n, 1
-
-
 @lru_cache(maxsize=1 << 16)
 def is_prime(n: int) -> bool:
-    """Deterministic primality by trial division, stopping at n's least prime divisor.
+    """Deterministic Miller-Rabin primality over the bases 2..37.
 
     Raises ValueError for n above MAX_TRIAL_OPERAND = 10**18.
     """
     n = int(n)
     if n > MAX_TRIAL_OPERAND:
         raise ValueError(f"primality operands capped at {MAX_TRIAL_OPERAND}, got {n}")
-    return n >= 2 and next(_prime_powers(n)) == (n, 1)
+    if n < 2:
+        return False
+    for p in _WITNESSES:
+        if n % p == 0:
+            return n == p
+    s = ((n - 1) & -(n - 1)).bit_length() - 1  # n - 1 = d * 2**s with d odd
+    d = (n - 1) >> s
+    for a in _WITNESSES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 @lru_cache(maxsize=1 << 16)
 def _factor_tuple(x: int) -> tuple:
-    return tuple(p for p, _ in _prime_powers(x))
+    out = []
+    for p in primes_upto(math.isqrt(x)).tolist():
+        if p * p > x:
+            break
+        if x % p == 0:
+            out.append(p)
+            while x % p == 0:
+                x //= p
+    if x > 1:
+        out.append(x)
+    return tuple(out)
 
 
 def prime_factors(x: int) -> tuple:
@@ -170,7 +178,14 @@ def is_square_free(b: int) -> bool:
         raise ValueError("positive integers only")
     if b > MAX_TRIAL_OPERAND:
         raise ValueError(f"square-free operands capped at {MAX_TRIAL_OPERAND}, got {b}")
-    return all(e == 1 for _, e in _prime_powers(b))
+    for p in primes_upto(int(b ** (1 / 3)) + 1).tolist():
+        if b % p == 0:
+            b //= p
+            if b % p == 0:
+                return False
+    # every prime factor left in b exceeds the cube root of the operand, so
+    # b is 1, p, pq or p*p
+    return b == 1 or math.isqrt(b) ** 2 != b
 
 
 def crt_solve(pairs: Iterable[tuple]) -> tuple:
@@ -279,9 +294,9 @@ def first_prime_in_progression(a: int, b: int, max_terms: int = _MAX_TERMS) -> i
     a+b, a+2b, ...  Raises NotCoprime when gcd(a, b) > 1 and
     SearchBoundExceeded after max_terms candidates.  a and b are capped at
     MAX_OPERAND and max_terms at its default of 10**6, so that every
-    candidate stays below about 10**15 and trial division reads primes
-    below about 3.2 * 10**7 only; a larger value is a ValueError naming
-    the cap.
+    candidate stays below about 10**15, within is_prime's cap, and a
+    search makes at most 10**6 primality tests; a larger value is a
+    ValueError naming the cap.
     """
     a, b, max_terms = int(a), int(b), int(max_terms)
     if a < 1 or b < 1:

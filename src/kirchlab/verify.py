@@ -628,8 +628,9 @@ _SUITES = {
     "powers": (_suite_powers, {"limit": Knob(10**6, 9, 10**13)}),
     # max_base ** max_exponent is also at most MAX_OPERAND, the operand cap
     # of compute_A, which scans every prime up to each x^m; 29 is the largest
-    # n with 2^n within it.  31 6 is the slowest: 6.5 s twice, 339 MB (the
-    # default: 3.7 s, 203 MB; 19 7: 4.9 s; 10 9: 4.6 s; 2 29: 3.8 s)
+    # n with 2^n within it.  31 6 is the slowest: 5.6-8.4 s, 254 MB (the
+    # default: 3.9 s, 150 MB; 19 7: 4.5-7.3 s, 290 MB; 10 9: 4.9 s, 229 MB;
+    # 2 29: 4.4 s, 246 MB)
     "chains": (_suite_chains, {"max_base": Knob(50, 2, 50), "max_exponent": Knob(5, 1, 29)}),
 }
 

@@ -1,6 +1,7 @@
 """Unit tests for the basic number-theory layer."""
 
 import bisect
+import math
 import os
 import subprocess
 import sys
@@ -137,6 +138,7 @@ def test_is_prime_larger_witnesses():
     # beyond int32, which holds the prime table
     assert is_prime(4294967311)
     assert not is_prime(2**32 + 1)
+    assert is_prime(999999999999999989)  # the largest prime below 10**18
 
 
 def test_prime_factors_recovers_every_integer_up_to_1e5():
@@ -204,6 +206,14 @@ SMALL_DIVISORS_LARGE_ROOT = (999999999999999999, 614889782588491410)
 @example(999_999_937)
 @example(SMALL_DIVISORS_LARGE_ROOT[0])
 @example(SMALL_DIVISORS_LARGE_ROOT[1])
+# Carmichael numbers and strong pseudoprimes to the bases 2; 2, 3; 2, 3, 5;
+# 2, 3, 5, 7; 2..11 and 2..13
+@example(561)
+@example(1105)
+@example(25326001)
+@example(3215031751)
+@example(2152302898747)
+@example(3474749660383)
 def test_trial_division_matches_a_brute_force_reference(n):
     ref = _brute_factorization(n)
     assert is_prime(n) == (ref == {n: 1})
@@ -212,13 +222,70 @@ def test_trial_division_matches_a_brute_force_reference(n):
         assert prime_factors(n) == tuple(sorted(ref))
 
 
-def test_trial_division_grows_the_table_only_as_far_as_it_divides(monkeypatch):
-    monkeypatch.setattr(numtheory, "_primes", primes_upto(31))
-    monkeypatch.setattr(numtheory, "_limit", 31)
-    # the uncached is_prime, so that it scans the table
+@pytest.mark.parametrize(
+    "n, factors",
+    [
+        (341550071728321, (10670053, 32010157)),  # strong pseudoprime to the bases 2..17
+        (999999937**2, (999999937, 999999937)),
+        (999999937 * 1000000007, (999999937, 1000000007)),
+        (1000003**2 * 997, (997, 1000003, 1000003)),
+    ],
+    ids=str,
+)
+def test_primality_and_square_freeness_of_large_products(n, factors):
+    # products of known primes, too large for the brute-force reference
+    assert all(is_prime(p) for p in factors) and math.prod(factors) == n
+    assert not is_prime(n)
+    assert is_square_free(n) == (len(set(factors)) == len(factors))
+
+
+def test_only_primes_upto_grows_the_table(monkeypatch):
+    asked = []
+    monkeypatch.setattr(numtheory, "primes_upto", lambda n: asked.append(n) or primes_upto(n))
+    limit = numtheory._limit
+    # the uncached is_prime, so that a cache hit cannot hide a table read
+    assert is_prime.__wrapped__(999999999999999989)
     assert not is_prime.__wrapped__(SMALL_DIVISORS_LARGE_ROOT[0])
-    assert is_square_free(SMALL_DIVISORS_LARGE_ROOT[1])
-    assert numtheory._limit <= 1000
+    assert asked == [] and numtheory._limit == limit
+    for b in (SMALL_DIVISORS_LARGE_ROOT + (999999937**2, 999999937 * 1000000007, 1000003**2 * 997)):
+        asked.clear()
+        is_square_free(b)
+        assert asked and (max(asked) - 1) ** 3 <= b, (b, asked)
+    for x in (MAX_OPERAND, 999999937, 2**29, 31622**2):
+        asked.clear()
+        numtheory._factor_tuple.__wrapped__(x)
+        assert asked == [math.isqrt(x)], (x, asked)
+
+
+def test_calls_near_the_trial_cap_answer_at_once():
+    # a fresh process per call, each of which once grew the table to 10**9
+    # (12 s, 245 MB).  Its peak is VmHWM, which exec resets: ru_maxrss keeps
+    # the peak of the test process that spawned it
+    calls = (
+        "is_prime(999999999999999989)",
+        "is_square_free(999999937**2)",
+        "is_square_free(999999937 * 1000000007)",
+        "is_square_free(1000003**2 * 997)",
+        "999999999999999989 in descriptor((7,)).A",
+    )
+    src = os.path.dirname(os.path.dirname(numtheory.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    for call in calls:
+        code = (
+            "import time\n"
+            "from kirchlab import descriptor, is_prime, is_square_free, numtheory\n"
+            "t = time.perf_counter()\n"
+            f"answer = {call}\n"
+            "s = time.perf_counter() - t\n"
+            "status = open('/proc/self/status').read()\n"
+            "mb = int(status.split('VmHWM:')[1].split()[0]) / 1024\n"
+            "print(answer, s, mb, numtheory._limit)\n"
+        )
+        r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+        assert r.returncode == 0, r.stderr
+        answer, s, mb, limit = r.stdout.split()
+        assert answer == str(call in (calls[0], calls[2], calls[4])), call
+        assert float(s) < 2 and float(mb) < 60 and int(limit) <= 10**6, (call, s, mb, limit)
 
 
 def test_realize_sorts_and_deduplicates_its_primes():

@@ -268,6 +268,8 @@ def test_doubleton_infinity_characterization(x, y):
 
 # operands up to 10**6; hypothesis favours the small end of the range
 _OPERAND = st.integers(-2, 10**6)
+# primality operands on both sides of their cap of 10**18
+_TRIAL_OPERAND = _OPERAND | st.integers(MAX_TRIAL_OPERAND - 10**6, MAX_TRIAL_OPERAND + 10**6)
 _SET = st.lists(_OPERAND, max_size=4)
 _PRIME = st.sampled_from((2, 3, 5, 7, 11, 13, 999983)) | _OPERAND
 _PRIMES = st.lists(_PRIME, max_size=4)
@@ -284,17 +286,18 @@ def _congruence_set_queries(residues, z, lo, hi):
 # strategy per argument
 _LIBRARY_CALLS = (
     (primes_upto, _OPERAND),
-    (is_prime, _OPERAND),
+    (is_prime, _TRIAL_OPERAND),
     (prime_factors, _OPERAND),
-    (is_square_free, _OPERAND),
+    (is_square_free, _TRIAL_OPERAND),
     (crt_solve, st.lists(st.tuples(_RESIDUE, _OPERAND), max_size=3)),
-    (classify_prime, _OPERAND),
+    (classify_prime, _TRIAL_OPERAND),
     (zsigmondy_inclusion, _OPERAND, _OPERAND),
     (consecutive_perfect_powers, _OPERAND),
     (first_prime_in_progression, _OPERAND, _OPERAND, _OPERAND),
     (compute_A, _SET),
     (pair_A, _OPERAND, _OPERAND),
     (descriptor, _SET),
+    (lambda p, x: p in descriptor((x,)).A, _TRIAL_OPERAND, _OPERAND),
     (lambda A, alpha: realize(A, dict(zip(A, alpha))), _PRIMES, st.lists(_RESIDUE, max_size=4)),
     (lambda E, L: generator(descriptor(E), L), _SET, _PRIMES),
     (filter_le, _SET, _SET),
