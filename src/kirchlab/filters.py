@@ -10,11 +10,11 @@ open supersets is determined by three pieces of data:
            odd p in Pi(E), and otherwise the unique nonzero residue shared
            by the elements of E mod p.
 
-alpha alone carries what the order reads: its keys are A(E) and its zeros
-the odd primes of Pi(E).  For |E|, |F| >= 2 the filter of E lies in the
-filter of F iff every p of A(F) lies in A(E) with alpha_E(p) in
-{0, alpha_F(p)} (filter_le below); an independent search-based route
-lives in the verify module.
+One residue scan writes alpha (descriptor below), and alpha alone carries
+what the order reads: its keys are A(E) (compute_A) and its zeros the odd
+primes of Pi(E).  For |E|, |F| >= 2 the filter of E lies in the filter of F
+iff every p of A(F) lies in A(E) with alpha_E(p) in {0, alpha_F(p)}
+(filter_le); an independent search-based route lives in the verify module.
 
 Singletons {x} behave degenerately: every prime qualifies, so A is the
 sentinel ALL_PRIMES and alpha is undefined.
@@ -27,6 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+from types import MappingProxyType
 from typing import Iterable, Optional, Union
 
 import numpy as np
@@ -66,7 +67,7 @@ MAX_UPSET_PRIME = 10**4  # largest p whose case-1 up-set (p - 1 descriptors) is 
 # largest clamped p_bound of primes_from_order: each prime p costs the
 # descriptors of {1, p, 2p} and {2, p, 2p}; (999999937, 2 * 10**5): 8.2-8.8 s, 235 MB
 MAX_ORDER_BOUND = 2 * 10**5
-_SCAN_CELLS = 1 << 16  # residues compute_A holds at once
+_SCAN_CELLS = 1 << 16  # residues the descriptor scan holds at once
 
 
 class _AllPrimes:
@@ -104,16 +105,19 @@ def _element_tuple(E: Iterable[int]) -> tuple:
 class FilterDescriptor:
     """Finite data determining the filter of a set E.
 
-    E is the (sorted) witness set; alpha is the dict p -> residue over
-    A(E), ascending in p, or None for a singleton.  A and Pi are read from
-    alpha: A is its keys (ALL_PRIMES for a singleton), and Pi its zeros,
-    with 2 when every element is even.  E <= F iff every p of A_F has
-    alpha_E(p) in {0, alpha_F(p)}.  alpha is a function of E, so it takes
-    no part in == and hash.
+    E is the (sorted) witness set; alpha is the read-only map p -> residue
+    over A(E) that descriptor()'s scan wrote, ascending in p, or None for a
+    singleton.  A is its keys (ALL_PRIMES for a singleton), and Pi its
+    zeros, with 2 when every element is even.  E <= F iff every p of A_F
+    has alpha_E(p) in {0, alpha_F(p)}.  alpha is a function of E: it takes
+    no part in == and hash, and a descriptor pickles as descriptor(E).
     """
 
     E: tuple
-    alpha: Optional[dict] = field(compare=False)
+    alpha: Optional[MappingProxyType] = field(compare=False)
+
+    def __reduce__(self):
+        return descriptor, (self.E,)
 
     @property
     def A(self) -> Union[tuple, _AllPrimes]:
@@ -138,29 +142,16 @@ class FilterDescriptor:
 
 
 def compute_A(E: Iterable[int]) -> tuple:
-    """Signature primes of E, ascending, by direct residue scan over all p <= max(E).
+    """Signature primes of E, ascending: the keys of descriptor(E).alpha.
 
-    2 always qualifies.  An odd prime p qualifies iff the nonzero residues
-    of E mod p all agree, i.e. E fits in {0, k} + p*Z for k the largest
-    residue (k = 0 when p divides everything).  Primes above max(E) never qualify
-    for |E| >= 2: two distinct elements below p cannot share a class.
+    2 always qualifies; an odd p iff E fits in {0, k} + p*Z for k its
+    largest residue mod p (k = 0 at a common divisor).  descriptor() scans
+    every p <= max(E): no larger prime qualifies for |E| >= 2.
     """
-    elems = _element_tuple(E)
-    if len(elems) < 2:
+    d = descriptor(E)
+    if d.alpha is None:
         raise TooSmall("signature scan needs at least two elements")
-    odd = primes_upto(elems[-1])
-    odd = odd[1:] if len(odd) and odd[0] == 2 else odd
-    # the prime table is int32, which holds every operand (MAX_OPERAND <
-    # 2**31) and divides faster; the residue table is built a block of
-    # primes at a time, so its size stays near _SCAN_CELLS whatever max(E) is
-    col = np.array(elems, dtype=np.int32)[:, None]
-    step = max(1, _SCAN_CELLS // len(elems))
-    keep = []
-    for lo in range(0, len(odd), step):
-        block = odd[lo:lo + step]
-        r = col % block
-        keep += block[((r == 0) | (r == r.max(axis=0))).all(axis=0)].tolist()
-    return (2, *keep)
+    return d.A
 
 
 def pair_A(x: int, y: int) -> tuple:
@@ -180,11 +171,21 @@ def pair_A(x: int, y: int) -> tuple:
 def _descriptor_cached(elems: tuple) -> FilterDescriptor:
     if len(elems) == 1:
         return FilterDescriptor(elems, None)
-    # alpha(2) = 1; at an odd p the largest residue: 0 at a common divisor,
-    # else the one nonzero residue E shares mod p
-    return FilterDescriptor(
-        elems, {p: 1 if p == 2 else max(e % p for e in elems) for p in compute_A(elems)}
-    )
+    # alpha(2) = 1; an odd p whose residues are all 0 or their maximum k
+    # gets k (0 at a common divisor).  The int32 prime table holds every
+    # operand (MAX_OPERAND < 2**31) and divides faster; blocks of primes
+    # keep the residue table near _SCAN_CELLS cells whatever max(E) is
+    odd = primes_upto(elems[-1])[1:]
+    col = np.array(elems, dtype=np.int32)[:, None]
+    step = max(1, _SCAN_CELLS // len(elems))
+    alpha = {2: 1}
+    for lo in range(0, len(odd), step):
+        block = odd[lo:lo + step]
+        r = col % block
+        top = r.max(axis=0)
+        keep = ((r == 0) | (r == top)).all(axis=0)
+        alpha.update(zip(block[keep].tolist(), top[keep].tolist()))
+    return FilterDescriptor(elems, MappingProxyType(alpha))
 
 
 def descriptor(E: Iterable[int]) -> FilterDescriptor:
@@ -255,10 +256,10 @@ def filter_le(E: Iterable[int], F: Iterable[int]) -> bool:
     another filter only via {x} subset F; a filter with |E| >= 2 is never
     below a singleton filter.
     """
-    e, f = _element_tuple(E), _element_tuple(F)
-    if len(e) == 1 or len(f) == 1:
-        return len(e) == 1 and set(e) <= set(f)
-    return _le_descriptors(_descriptor_cached(e), _descriptor_cached(f))
+    dE, dF = descriptor(E), descriptor(F)
+    if dE.alpha is None or dF.alpha is None:
+        return dE.alpha is None and set(dE.E) <= set(dF.E)
+    return _le_descriptors(dE, dF)
 
 
 def filter_eq(E: Iterable[int], F: Iterable[int]) -> bool:
@@ -300,10 +301,9 @@ def classify(E: Iterable[int]) -> ClassLabel:
                   case 2 — A = {2, p, q}, p < q odd, no odd common divisor.
     Other:        anything else.
     """
-    elems = _element_tuple(E)
-    if len(elems) < 2:
+    alpha = descriptor(E).alpha
+    if alpha is None:
         raise TooSmall("classification needs at least two elements")
-    alpha = _descriptor_cached(elems).alpha
     odd = [p for p in alpha if p != 2]
     if not odd:
         return ClassLabel("FInfinity")
@@ -326,8 +326,8 @@ def upset_in_Fprime(E: Iterable[int]) -> tuple:
     x = alpha(q) mod q.  Raises WrongClass unless E is FDoublePrime, and
     Overflow for a case-1 p above MAX_UPSET_PRIME.
     """
-    elems = _element_tuple(E)
-    label = classify(elems)
+    d = descriptor(E)
+    label = classify(d.E)
     if label.tag != "FDoublePrime":
         raise WrongClass(f"up-set enumeration applies to FDoublePrime only, got {label.tag}")
     if label.case == 1:
@@ -336,8 +336,7 @@ def upset_in_Fprime(E: Iterable[int]) -> tuple:
             raise Overflow(f"case-1 up-set: p capped at {MAX_UPSET_PRIME}, got {p}")
         return tuple(descriptor((a, p, 2 * p)) for a in range(1, p))
     p, q = label.p, label.q
-    alpha = _descriptor_cached(elems).alpha
-    x, _ = crt_solve(((1, 2), (alpha[p], p), (alpha[q], q)))
+    x, _ = crt_solve(((1, 2), (d.alpha[p], p), (d.alpha[q], q)))
     return (descriptor({x, p, 2 * p}), descriptor({x, q, 2 * q}))
 
 

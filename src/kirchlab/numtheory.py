@@ -287,31 +287,25 @@ def consecutive_perfect_powers(limit: int) -> list:
     return [(u, u + 1) for u in sorted(powers) if u + 1 in powers]
 
 
-def first_prime_in_progression(a: int, b: int, max_terms: int = _MAX_TERMS) -> int:
+def first_prime_in_progression(a: int, b: int) -> int:
     """Least prime of the form a + k*b with k >= 1, for coprime a, b.
 
     The offset a itself is not a candidate: the progression searched is
     a+b, a+2b, ...  Raises NotCoprime when gcd(a, b) > 1 and
-    SearchBoundExceeded after max_terms candidates.  a and b are capped at
-    MAX_OPERAND and max_terms at its default of 10**6, so that every
-    candidate stays below about 10**15, within is_prime's cap, and a
-    search makes at most 10**6 primality tests; a larger value is a
-    ValueError naming the cap.
+    SearchBoundExceeded after 10**6 candidates.  a and b are capped at
+    MAX_OPERAND, so that every candidate stays below about 10**15, within
+    is_prime's cap; a larger value is a ValueError naming the cap.
     """
-    a, b, max_terms = int(a), int(b), int(max_terms)
+    a, b = int(a), int(b)
     if a < 1 or b < 1:
         raise ValueError("need positive a and b")
     if a > MAX_OPERAND or b > MAX_OPERAND:
         raise ValueError(f"a and b capped at {MAX_OPERAND}")
     if math.gcd(a, b) != 1:
         raise NotCoprime(f"gcd({a}, {b}) > 1; the progression contains at most one prime")
-    if max_terms < 1:
-        raise ValueError("max_terms must be positive")
-    if max_terms > _MAX_TERMS:
-        raise ValueError(f"max_terms capped at {_MAX_TERMS}")
     v = a
-    for _ in range(max_terms):
+    for _ in range(_MAX_TERMS):
         v += b
         if is_prime(v):
             return v
-    raise SearchBoundExceeded(f"no prime in the first {max_terms} terms of {a} + k*{b}")
+    raise SearchBoundExceeded(f"no prime in the first {_MAX_TERMS} terms of {a} + k*{b}")

@@ -68,7 +68,7 @@ def test_criterion_02_pair_signature_identity():
     _ok(
         2,
         f"pair factor formula == residue rule on all x<y<=500, "
-        f"pair_A == compute_A on {r.bounds['samples']} samples, {r.elapsed:.2f}s",
+        f"pair_A and compute_A == residue rule on {r.bounds['samples']} samples, {r.elapsed:.2f}s",
     )
 
 

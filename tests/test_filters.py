@@ -1,6 +1,8 @@
 """Tests for filter descriptors, realization, order, and classification."""
 
+import copy
 import json
+import pickle
 import random
 import time
 
@@ -107,6 +109,24 @@ def test_descriptor_examples():
 
 def test_descriptor_is_cached_and_order_insensitive():
     assert descriptor((3, 6)) is descriptor([6, 3, 3])
+
+
+def test_descriptor_alpha_is_read_only():
+    d = descriptor((3, 6))
+    with pytest.raises(TypeError):
+        d.alpha[3] = 1
+    with pytest.raises(TypeError):
+        del d.alpha[2]
+    assert descriptor((3, 6)).alpha == {2: 1, 3: 0}
+    label = classify((3, 6))
+    assert (label.tag, label.case, label.p) == ("FDoublePrime", 1, 3)
+
+
+@pytest.mark.parametrize("E", [(3, 6), (5, 3, 6), (7,)])
+def test_descriptor_pickles_and_copies(E):
+    d = descriptor(E)
+    for twin in (pickle.loads(pickle.dumps(d)), copy.deepcopy(d), copy.copy(d)):
+        assert twin == d and twin.alpha == d.alpha and twin.A == d.A
 
 
 def test_descriptor_alpha_conditions_hold_on_random_sets():

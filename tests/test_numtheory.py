@@ -102,7 +102,8 @@ def test_primes_upto_reads_the_table_without_copying_it():
 
 
 def test_primes_upto_capacity_at_the_operand_cap():
-    # a fresh process per case, so ru_maxrss is the growth's own peak.  The
+    # a fresh process per case, whose peak is VmHWM: exec resets it, while
+    # ru_maxrss keeps the peak of the test process that spawned it.  The
     # documented capacity (module docstring) is about 230 MB measured.  The
     # growth from half the cap must let the old table go before it sieves:
     # holding the old table and the whole new one peaks near 330 MB
@@ -111,11 +112,11 @@ def test_primes_upto_capacity_at_the_operand_cap():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
     for first, bound in cases:
         code = (
-            "import resource\n"
             "from kirchlab.numtheory import MAX_OPERAND, primes_upto\n"
             f"{first}"
             "t = primes_upto(MAX_OPERAND)\n"
-            "mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024\n"
+            "status = open('/proc/self/status').read()\n"
+            "mb = int(status.split('VmHWM:')[1].split()[0]) / 1024\n"
             "print(len(t), int(t[-1]), mb)\n"
         )
         r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
@@ -415,12 +416,13 @@ def test_consecutive_perfect_powers_small_limit():
         consecutive_perfect_powers(1)
 
 
-def test_first_prime_in_progression_examples():
+def test_first_prime_in_progression_examples(monkeypatch):
     assert first_prime_in_progression(3, 4) == 7  # skips the lower endpoint itself
     assert first_prime_in_progression(1, 10) == 11
     assert first_prime_in_progression(4, 9) == 13
     assert first_prime_in_progression(1, 999999937) == 9999999371  # tests candidates above 2**31
     with pytest.raises(NotCoprime):
         first_prime_in_progression(2, 4)
-    with pytest.raises(SearchBoundExceeded):
-        first_prime_in_progression(1, 8, max_terms=1)  # 9 is composite
+    monkeypatch.setattr(numtheory, "_MAX_TERMS", 1)
+    with pytest.raises(SearchBoundExceeded, match="first 1 terms"):
+        first_prime_in_progression(1, 8)  # 9 is composite

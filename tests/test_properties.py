@@ -293,7 +293,7 @@ _LIBRARY_CALLS = (
     (classify_prime, _TRIAL_OPERAND),
     (zsigmondy_inclusion, _OPERAND, _OPERAND),
     (consecutive_perfect_powers, _OPERAND),
-    (first_prime_in_progression, _OPERAND, _OPERAND, _OPERAND),
+    (first_prime_in_progression, _OPERAND, _OPERAND),
     (compute_A, _SET),
     (pair_A, _OPERAND, _OPERAND),
     (descriptor, _SET),
@@ -384,7 +384,6 @@ _PAST_CAPS = [
     (zsigmondy_inclusion, (10**6, 325), "capped at 1048576 bits"),
     (first_prime_in_progression, (MAX_OPERAND + 1, 1), f"capped at {MAX_OPERAND}"),
     (first_prime_in_progression, (1, MAX_OPERAND + 1), f"capped at {MAX_OPERAND}"),
-    (first_prime_in_progression, (1, 2, 10**6 + 1), "max_terms capped at 1000000"),
     (compute_A, ((1, MAX_OPERAND + 1),), f"capped at {MAX_OPERAND}"),
     (pair_A, (1, MAX_OPERAND + 1), f"capped at {MAX_OPERAND}"),
     (descriptor, ((MAX_OPERAND + 1,),), f"capped at {MAX_OPERAND}"),

@@ -501,7 +501,8 @@ def _witness_skipping_largest(zs, a, pis):
 
 # a planted fault per row: the suite run that must see it, then as in
 # _ORDER_FAULTS the name it replaces, the replacement and the modules (or
-# the class) that hold the name; a suite's first row plants nothing.  The
+# the class) that hold the name; a fault in several names gives a tuple of
+# names and one of replacements.  A suite's first row plants nothing.  The
 # closure_oracle, _witness and edges_by_definition rows plant the fault in
 # the oracle side
 _SUITE_FAULTS = {
@@ -516,6 +517,12 @@ _SUITE_FAULTS = {
     ),
     "pairA-pair_A_drops_largest_odd": (
         _pairA_failures, "pair_A", _drop_largest_odd_prime(filters.pair_A), (verify,),
+    ),
+    # one fault in both routes alike, which comparing them would not see
+    "pairA-both_routes_drop_largest_odd": (
+        _pairA_failures, ("compute_A", "pair_A"),
+        (_drop_largest_odd_prime(filters.compute_A), _drop_largest_odd_prime(filters.pair_A)),
+        (verify,),
     ),
     "closure-none": (_closure_failures, None, None, ()),
     "closure-forced_dropped": (_closure_failures, "closure", _closure_without_forced, (verify,)),
@@ -572,8 +579,11 @@ _SUITE_FAULTS = {
 
 @pytest.mark.parametrize("fault", list(_SUITE_FAULTS))
 def test_suites_report_each_planted_fault(monkeypatch, fault):
-    failures, name, broken, modules = _SUITE_FAULTS[fault]
+    failures, names, broken, modules = _SUITE_FAULTS[fault]
+    if not isinstance(names, tuple):
+        names, broken = (names,), (broken,)
     for module in modules:
-        monkeypatch.setattr(module, name, broken)
+        for name, replacement in zip(names, broken):
+            monkeypatch.setattr(module, name, replacement)
     count = failures()
     assert (count > 0) == bool(modules), count
