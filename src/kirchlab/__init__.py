@@ -10,6 +10,7 @@ from .numtheory import (
     NonCoprimeModuli,
     NotCoprime,
     NotPrime,
+    Overflow,
     PrimeType,
     SearchBoundExceeded,
     classify_prime,
@@ -34,7 +35,6 @@ from .filters import (
     BadShape,
     ClassLabel,
     FilterDescriptor,
-    Overflow,
     OverlapError,
     TooSmall,
     WrongClass,

@@ -34,7 +34,10 @@ import numpy as np
 
 from .numtheory import (
     MAX_OPERAND,
-    NotPrime,
+    Overflow,
+    _shown,
+    check_cap,
+    check_prime,
     crt_solve,
     is_prime,
     prime_factors,
@@ -57,10 +60,6 @@ class OverlapError(ValueError):
 
 class WrongClass(ValueError):
     """The operation applies to a different classification tag."""
-
-
-class Overflow(ValueError):
-    """The computation would exceed the documented operand capacity."""
 
 
 MAX_UPSET_PRIME = 10**4  # largest p whose case-1 up-set (p - 1 descriptors) is listed
@@ -96,8 +95,7 @@ def _element_tuple(E: Iterable[int]) -> tuple:
         raise TooSmall("need a nonempty set")
     if elems[0] < 1:
         raise ValueError("positive integers only")
-    if elems[-1] > MAX_OPERAND:
-        raise Overflow(f"elements capped at {MAX_OPERAND}")
+    check_cap("elements", elems[-1], MAX_OPERAND)
     return elems
 
 
@@ -204,12 +202,7 @@ def realize(A, alpha) -> tuple:
     above MAX_OPERAND, checked before primality, and NotPrime for a p of A
     that is not prime.
     """
-    A = sorted({int(p) for p in A})
-    for p in A:
-        if p > MAX_OPERAND:
-            raise Overflow(f"primes of A capped at {MAX_OPERAND}, got {p}")
-        if not is_prime(p):
-            raise NotPrime(f"{p} is not prime")
+    A = [check_prime("primes of A", p) for p in sorted({int(p) for p in A})]
     alpha = {int(p): int(k) for p, k in dict(alpha).items()}
     if 2 not in A or len(A) < 2:
         raise BadShape("need 2 in A together with at least one odd prime")
@@ -219,7 +212,7 @@ def realize(A, alpha) -> tuple:
         raise BadShape("alpha(2) must be 1")
     for p, k in alpha.items():
         if not 0 <= k < p:
-            raise BadShape(f"alpha({p}) = {k} out of range [0, {p})")
+            raise BadShape(f"alpha({p}) = {_shown(k)} out of range [0, {p})")
     x = math.prod(p for p in A if p != 2)
     y, _ = crt_solve((alpha[p], p) for p in A)
     return tuple(sorted({y, x, 2 * x}))
@@ -254,8 +247,10 @@ def filter_le(E: Iterable[int], F: Iterable[int]) -> bool:
 
     Singletons are minimal in a strong sense: a singleton filter is below
     another filter only via {x} subset F; a filter with |E| >= 2 is never
-    below a singleton filter.
+    below a singleton filter.  Both sets are checked before either
+    descriptor is built.
     """
+    E, F = _element_tuple(E), _element_tuple(F)
     dE, dF = descriptor(E), descriptor(F)
     if dE.alpha is None or dF.alpha is None:
         return dE.alpha is None and set(dE.E) <= set(dF.E)
@@ -331,9 +326,7 @@ def upset_in_Fprime(E: Iterable[int]) -> tuple:
     if label.tag != "FDoublePrime":
         raise WrongClass(f"up-set enumeration applies to FDoublePrime only, got {label.tag}")
     if label.case == 1:
-        p = label.p
-        if p > MAX_UPSET_PRIME:
-            raise Overflow(f"case-1 up-set: p capped at {MAX_UPSET_PRIME}, got {p}")
+        p = check_cap("case-1 up-set: p", label.p, MAX_UPSET_PRIME)
         return tuple(descriptor((a, p, 2 * p)) for a in range(1, p))
     p, q = label.p, label.q
     x, _ = crt_solve(((1, 2), (d.alpha[p], p), (d.alpha[q], q)))
@@ -353,11 +346,8 @@ def primes_from_order(x: int, p_bound: int) -> tuple:
     x = int(x)
     if x < 3:
         raise ValueError("need x >= 3")
-    if x > MAX_OPERAND:
-        raise Overflow(f"x capped at {MAX_OPERAND}")
-    p_bound = min(int(p_bound), x)
-    if p_bound > MAX_ORDER_BOUND:
-        raise Overflow(f"p_bound capped at {MAX_ORDER_BOUND}, got {p_bound}")
+    check_cap("x", x, MAX_OPERAND)
+    p_bound = check_cap("p_bound", min(int(p_bound), x), MAX_ORDER_BOUND)
     odd = primes_upto(p_bound)[1:].tolist()
     return tuple(
         p for p in odd if filter_le((1, x), (1, p, 2 * p)) and filter_le((2, x), (2, p, 2 * p))
@@ -367,14 +357,14 @@ def primes_from_order(x: int, p_bound: int) -> tuple:
 def power_chain_equal_set(x: int, n_max: int) -> set:
     """{n <= n_max : filter({1, x^n}) equals filter({1, x})}.
 
-    Always contains 1.  Raises Overflow when x^n_max exceeds the operand
-    capacity (10**9).
+    Always contains 1.  Raises Overflow for x or n_max above MAX_OPERAND,
+    or when x^n_max exceeds it.
     """
     x, n_max = int(x), int(n_max)
     if x < 2 or n_max < 1:
         raise ValueError("need x >= 2 and n_max >= 1")
-    if x > MAX_OPERAND:  # before x is formatted in full below
-        raise Overflow(f"x capped at {MAX_OPERAND}")
+    check_cap("x", x, MAX_OPERAND)
+    check_cap("n_max", n_max, MAX_OPERAND)
     # 2^n_max alone passes the cap beyond its bit length: refuse before
     # building a power of millions of digits
     if n_max > MAX_OPERAND.bit_length() or x**n_max > MAX_OPERAND:

@@ -33,7 +33,7 @@ Vertex degrees in the infinite graph follow from the same table without
 any enumeration (degree_infinite).
 
 A bounded slice takes a bound of at most MAX_OPERAND = 10**9; a larger one
-is refused with a ValueError naming the cap, as the definition route tests
+is refused with an Overflow naming the cap, as the definition route tests
 every vertex pair.  p is capped at MAX_OPERAND too, before its primality is
 tested.  degree_infinite and export_dot read a vertex's exponents
 by repeated division, so they refuse a vertex of more than 4096 bits.
@@ -44,7 +44,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional
 
-from .numtheory import MAX_OPERAND, NotPrime, PrimeType, classify_prime, is_prime
+from .numtheory import MAX_OPERAND, PrimeType, _shown, check_cap, check_prime, classify_prime
 
 
 # the gamma suite's largest vertex, 2**159 * 31**160, has 952 bits
@@ -77,17 +77,12 @@ def _check_bound(bound: int) -> int:
     bound = int(bound)
     if bound < 1:
         raise ValueError("bound must be positive")
-    if bound > MAX_OPERAND:
-        raise ValueError(f"bound capped at {MAX_OPERAND}, got {bound}")
-    return bound
+    return check_cap("bound", bound, MAX_OPERAND)
 
 
 def _check_odd_prime(p: int) -> int:
-    p = int(p)
-    if p > MAX_OPERAND:  # no vertex 2^a * p^b lies within a bound of at most MAX_OPERAND
-        raise ValueError(f"p capped at {MAX_OPERAND}, got {p}")
-    if not is_prime(p):
-        raise NotPrime(f"{p} is not prime")
+    # no vertex 2^a * p^b lies within a bound of at most MAX_OPERAND
+    p = check_prime("p", int(p))
     if p == 2:
         raise ValueError("Gamma_p for odd p only; use gamma_graph for p = 2")
     return p
@@ -192,10 +187,9 @@ def gamma_graph(p: int, bound: int) -> GammaGraph:
 def _exponents(p: int, v: int) -> tuple:
     v = int(v)
     if v < 1:
-        raise NotAVertex(f"{v} is not positive")
-    if v.bit_length() > _MAX_VERTEX_BITS:
-        # each division below is linear in v's size, so the strip is quadratic
-        raise ValueError(f"vertices capped at {_MAX_VERTEX_BITS} bits, got {v.bit_length()}")
+        raise NotAVertex(f"{_shown(v)} is not positive")
+    # each division below is linear in v's size, so the strip is quadratic
+    check_cap("vertices", v.bit_length(), _MAX_VERTEX_BITS, " bits")
     e2 = 0
     while v % 2 == 0:
         v //= 2

@@ -16,6 +16,10 @@ table: it is Miller-Rabin over the bases 2..37, exact far past its 10**18
 cap.  prime_factors trial-divides by the primes up to the square root of
 its operand (at most 31622), and is_square_free by those up to the cube
 root of its operand (at most 10**6).
+
+Every cap of the library refuses through check_cap, an Overflow naming the
+cap, and every required prime through check_prime; their messages show a
+large operand by its size, as str() of an int past 4300 digits fails.
 """
 from __future__ import annotations
 
@@ -40,6 +44,10 @@ _MAX_POWERS_LIMIT = 10**13
 _ZSIGMONDY_BITS = 2**20  # most bits of the product of earlier terms in zsigmondy_inclusion
 
 
+class Overflow(ValueError):
+    """The computation would exceed the documented operand capacity."""
+
+
 class NonCoprimeModuli(ValueError):
     """CRT input moduli share a common factor."""
 
@@ -54,6 +62,26 @@ class NotCoprime(ValueError):
 
 class SearchBoundExceeded(ValueError):
     """A bounded search ran out of budget before finding its target."""
+
+
+def _shown(v: int) -> str:
+    if abs(v) < 1 << 64:
+        return str(v)
+    return f"a {'negative ' if v < 0 else ''}{int(v).bit_length()}-bit integer"
+
+
+def check_cap(name: str, value: int, cap: int, unit: str = "") -> int:
+    """value, refused with Overflow("<name> capped at <cap><unit>, got <value>") past cap."""
+    if value > cap:
+        raise Overflow(f"{name} capped at {cap}{unit}, got {_shown(value)}")
+    return value
+
+
+def check_prime(name: str, p: int, cap: int = MAX_OPERAND) -> int:
+    """p, checked against cap before its primality: Overflow, then NotPrime."""
+    if not is_prime(check_cap(name, p, cap)):
+        raise NotPrime(f"{_shown(p)} is not prime")
+    return p
 
 
 _SIEVE_BLOCK = 1 << 20  # odd numbers struck at once while the table grows
@@ -107,9 +135,7 @@ def primes_upto(n: int) -> np.ndarray:
 
     int32 holds every prime the table can hold (MAX_OPERAND < 2**31).
     """
-    n = int(n)
-    if n > MAX_OPERAND:
-        raise ValueError(f"prime table capped at {MAX_OPERAND}, asked for {n}")
+    n = check_cap("prime table", int(n), MAX_OPERAND)
     if n > _limit:
         _grow(min(max(n, 2 * _limit, 1000), MAX_OPERAND))
     # a typed key: a Python int would cast the whole table to int64
@@ -121,11 +147,9 @@ def primes_upto(n: int) -> np.ndarray:
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin primality over the bases 2..37.
 
-    Raises ValueError for n above MAX_TRIAL_OPERAND = 10**18.
+    Raises Overflow for n above MAX_TRIAL_OPERAND = 10**18.
     """
-    n = int(n)
-    if n > MAX_TRIAL_OPERAND:
-        raise ValueError(f"primality operands capped at {MAX_TRIAL_OPERAND}, got {n}")
+    n = check_cap("primality operands", int(n), MAX_TRIAL_OPERAND)
     if n < 2:
         return False
     for p in _WITNESSES:
@@ -166,9 +190,7 @@ def prime_factors(x: int) -> tuple:
     x = int(x)
     if x < 1:
         raise ValueError("positive integers only")
-    if x > MAX_OPERAND:
-        raise ValueError(f"operands capped at {MAX_OPERAND}")
-    return _factor_tuple(x)
+    return _factor_tuple(check_cap("operands", x, MAX_OPERAND))
 
 
 def is_square_free(b: int) -> bool:
@@ -176,8 +198,7 @@ def is_square_free(b: int) -> bool:
     b = int(b)
     if b < 1:
         raise ValueError("positive integers only")
-    if b > MAX_TRIAL_OPERAND:
-        raise ValueError(f"square-free operands capped at {MAX_TRIAL_OPERAND}, got {b}")
+    check_cap("square-free operands", b, MAX_TRIAL_OPERAND)
     for p in primes_upto(int(b ** (1 / 3)) + 1).tolist():
         if b % p == 0:
             b //= p
@@ -201,9 +222,9 @@ def crt_solve(pairs: Iterable[tuple]) -> tuple:
     r, m = 0, 1
     for residue, modulus in pairs:
         if not 0 <= residue < modulus:
-            raise ValueError(f"residue {residue} must lie in [0, {modulus})")
+            raise ValueError(f"residue {_shown(residue)} must lie in [0, {_shown(modulus)})")
         if math.gcd(m, modulus) != 1:
-            raise NonCoprimeModuli(f"modulus {modulus} shares a factor with {m}")
+            raise NonCoprimeModuli(f"modulus {_shown(modulus)} shares a factor with {_shown(m)}")
         t = ((residue - r) * pow(m, -1, modulus)) % modulus
         r += m * t
         m *= modulus
@@ -225,9 +246,7 @@ class PrimeType:
 
 def classify_prime(p: int) -> PrimeType:
     """Classify a prime as 2^m+1, 2^m-1, both, or neither."""
-    p = int(p)
-    if not is_prime(p):
-        raise NotPrime(f"{p} is not prime")
+    p = check_prime("primality operands", int(p), MAX_TRIAL_OPERAND)
     below, above = p - 1, p + 1
     fermat = below >= 2 and below & (below - 1) == 0
     mersenne = above >= 4 and above & (above - 1) == 0
@@ -247,14 +266,14 @@ def zsigmondy_inclusion(a: int, n: int) -> bool:
     the product of the smaller terms; the support is included iff the
     quotient reaches 1.  The product of the smaller terms has at most
     n(n-1)/2 * ceil(log2 a) bits, capped at 2**20 (about 1 s on a 2-vCPU
-    host); a larger product is a ValueError naming the cap.
+    host); a larger product is an Overflow naming the cap.
     """
     a, n = int(a), int(n)
     if a < 2 or n < 2:
         raise ValueError("need a >= 2 and n >= 2")
     # (a - 1).bit_length() is ceil(log2 a)
-    if n * (n - 1) // 2 * (a - 1).bit_length() > _ZSIGMONDY_BITS:
-        raise ValueError(f"the product of a^k - 1 over k < n is capped at {_ZSIGMONDY_BITS} bits")
+    bits = n * (n - 1) // 2 * (a - 1).bit_length()
+    check_cap("the product of a^k - 1 over k < n", bits, _ZSIGMONDY_BITS, " bits")
     lower = 1
     for k in range(1, n):
         lower *= a**k - 1
@@ -269,13 +288,12 @@ def zsigmondy_inclusion(a: int, n: int) -> bool:
 def consecutive_perfect_powers(limit: int) -> list:
     """All pairs (u, u+1) of perfect powers m^k (k >= 2) with u+1 <= limit.
 
-    limit is capped at 10**13; a larger one is a ValueError naming the cap.
+    limit is capped at 10**13; a larger one is an Overflow naming the cap.
     """
     limit = int(limit)
     if limit < 2:
         raise ValueError("limit must be at least 2")
-    if limit > _MAX_POWERS_LIMIT:
-        raise ValueError(f"limit capped at {_MAX_POWERS_LIMIT}, got {limit}")
+    check_cap("limit", limit, _MAX_POWERS_LIMIT)
     powers = set()
     m = 2
     while m * m <= limit:
@@ -294,13 +312,13 @@ def first_prime_in_progression(a: int, b: int) -> int:
     a+b, a+2b, ...  Raises NotCoprime when gcd(a, b) > 1 and
     SearchBoundExceeded after 10**6 candidates.  a and b are capped at
     MAX_OPERAND, so that every candidate stays below about 10**15, within
-    is_prime's cap; a larger value is a ValueError naming the cap.
+    is_prime's cap; a larger value is an Overflow naming the cap.
     """
     a, b = int(a), int(b)
     if a < 1 or b < 1:
         raise ValueError("need positive a and b")
-    if a > MAX_OPERAND or b > MAX_OPERAND:
-        raise ValueError(f"a and b capped at {MAX_OPERAND}")
+    check_cap("a", a, MAX_OPERAND)
+    check_cap("b", b, MAX_OPERAND)
     if math.gcd(a, b) != 1:
         raise NotCoprime(f"gcd({a}, {b}) > 1; the progression contains at most one prime")
     v = a

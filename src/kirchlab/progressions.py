@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .numtheory import MAX_OPERAND, NotPrime, is_prime, is_square_free, prime_factors
+from .numtheory import MAX_OPERAND, _shown, check_cap, check_prime, is_square_free, prime_factors
 
 MAX_WINDOW = 10**6  # most values one members() call lists
 
@@ -79,12 +79,9 @@ class CongruenceSet:
     def __post_init__(self):
         residues = {}
         for p, k in sorted((int(p), int(k)) for p, k in dict(self.residues).items()):
-            if p > MAX_OPERAND:
-                raise ValueError(f"constraint primes capped at {MAX_OPERAND}, got {p}")
-            if not is_prime(p):
-                raise NotPrime(f"constraint prime {p} is not prime")
+            check_prime("constraint primes", p)
             if not 0 <= k < p:
-                raise ValueError(f"residue must satisfy 0 <= k < p, got {k} mod {p}")
+                raise ValueError(f"residue must satisfy 0 <= k < p, got {_shown(k)} mod {p}")
             residues[p] = k
         object.__setattr__(self, "residues", residues)
 
@@ -127,17 +124,14 @@ class CongruenceSet:
         window joins Q (at most two candidates per p values) instead of
         filtering it all.
 
-        Raises ValueError unless 1 <= lo <= hi <= MAX_OPERAND and the
-        window holds at most MAX_WINDOW values.
+        Raises ValueError unless 1 <= lo <= hi, and Overflow unless
+        hi <= MAX_OPERAND and the window holds at most MAX_WINDOW values.
         """
         lo, hi = int(lo), int(hi)
         if lo < 1 or lo > hi:
             raise ValueError("need 1 <= lo <= hi")
-        if hi > MAX_OPERAND:
-            raise ValueError(f"window end capped at {MAX_OPERAND}, got {hi}")
-        n = hi - lo + 1
-        if n > MAX_WINDOW:
-            raise ValueError(f"window capped at {MAX_WINDOW} values, got {n}")
+        check_cap("window end", hi, MAX_OPERAND)
+        n = check_cap("window", hi - lo + 1, MAX_WINDOW, " values")
         constraints = [
             (p, (0, k) if k else (0,)) for p, k in self.residues.items() if (p, k) != (2, 1)
         ]

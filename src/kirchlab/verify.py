@@ -36,6 +36,7 @@ from .numtheory import (
 from .progressions import CongruenceSet, Progression, closure, progressions_intersect
 from .filters import (
     TooSmall,
+    _element_tuple,
     _le_descriptors,
     classify,
     compute_A,
@@ -140,12 +141,13 @@ def filter_le_oracle(E, F, extra_pool=()) -> bool:
     belongs to the filter of F — i.e. some generator of F fits inside B.
     extra_pool adds primes to the candidate forcing pool of the membership
     search; by CRT independence it never changes the verdict (exercised by
-    the pool-widening checks).
+    the pool-widening checks).  Both sets are checked before either
+    descriptor is built.
     """
-    dE, dF = descriptor(E), descriptor(F)
-    if min(len(dE.E), len(dF.E)) < 2:
+    E, F = _element_tuple(E), _element_tuple(F)
+    if min(len(E), len(F)) < 2:
         raise TooSmall("the generator search needs |E|, |F| >= 2")
-    return _oracle_descriptors({}, dE, dF, extra_pool)
+    return _oracle_descriptors({}, descriptor(E), descriptor(F), extra_pool)
 
 
 # ---------------------------------------------------------------- reports

@@ -71,3 +71,7 @@ def test_the_exported_names_are_exactly_the_pinned_list():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     )
     assert exported == PUBLIC_NAMES
+
+
+def test_one_overflow_class_for_every_cap():
+    assert kirchlab.Overflow is kirchlab.numtheory.Overflow is kirchlab.filters.Overflow

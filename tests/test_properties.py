@@ -8,8 +8,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from kirchlab import (
+    BadShape,
     CongruenceSet,
+    NonCoprimeModuli,
+    NotAVertex,
+    NotPrime,
     OverlapError,
+    Overflow,
     classify,
     classify_prime,
     closure,
@@ -346,6 +351,9 @@ def _assert_domain_error(exc):
     path = tb.tb_frame.f_code.co_filename
     line = linecache.getline(path, tb.tb_lineno).strip()
     assert "kirchlab" in path and line.startswith("raise "), (type(exc), exc, path, line)
+    # a message that formats an operand past str()'s digit limit fails on
+    # that raise line with Python's own conversion error instead
+    assert "integer string conversion" not in str(exc), (type(exc), path, line)
 
 
 def _call_within_guard(fn, args):
@@ -408,5 +416,79 @@ _PAST_CAPS = [
     "fn, args, cap", _PAST_CAPS, ids=[f"{fn.__name__}{args}" for fn, args, _ in _PAST_CAPS]
 )
 def test_library_values_just_past_a_cap_are_a_domain_error(fn, args, cap):
-    with pytest.raises(ValueError, match=cap):
+    with pytest.raises(Overflow, match=cap):
         _call_within_guard(fn, args)
+
+
+# 16610 bits, past the 4300 digits that str() converts by default
+_H = 10**5000
+_CAP, _TRIAL_CAP = f"capped at {MAX_OPERAND}", f"capped at {MAX_TRIAL_OPERAND}"
+_D12 = descriptor((1, 2))
+
+# (id, call, exception, message text) for each cap and range refusal that
+# an operand of either sign and unbounded size can reach
+_HUGE_REFUSALS = [
+    ("primes_upto", lambda: primes_upto(_H), Overflow, _CAP),
+    ("is_prime", lambda: is_prime(_H), Overflow, _TRIAL_CAP),
+    ("is_square_free", lambda: is_square_free(_H), Overflow, _TRIAL_CAP),
+    ("prime_factors", lambda: prime_factors(_H), Overflow, _CAP),
+    ("classify_prime", lambda: classify_prime(_H), Overflow, _TRIAL_CAP),
+    ("classify_prime-", lambda: classify_prime(-_H), NotPrime, "is not prime"),
+    ("crt_residue", lambda: crt_solve([(_H, 3)]), ValueError, "must lie in [0, 3)"),
+    ("crt_residue-", lambda: crt_solve([(-_H, 3)]), ValueError, "must lie in [0, 3)"),
+    ("crt_modulus", lambda: crt_solve([(0, 3 * _H), (0, 3)]), NonCoprimeModuli, "shares a factor"),
+    ("crt_product", lambda: crt_solve([(0, 3), (0, 3 * _H)]), NonCoprimeModuli, "shares a factor"),
+    ("zsigmondy_a", lambda: zsigmondy_inclusion(_H, 100), Overflow, "capped at 1048576 bits"),
+    ("zsigmondy_n", lambda: zsigmondy_inclusion(2, _H), Overflow, "capped at 1048576 bits"),
+    ("perfect_powers", lambda: consecutive_perfect_powers(_H), Overflow, f"capped at {10**13}"),
+    ("first_prime_a", lambda: first_prime_in_progression(_H, 1), Overflow, _CAP),
+    ("first_prime_b", lambda: first_prime_in_progression(1, _H), Overflow, _CAP),
+    ("compute_A", lambda: compute_A((1, _H)), Overflow, _CAP),
+    ("pair_A", lambda: pair_A(1, _H), Overflow, _CAP),
+    ("descriptor", lambda: descriptor((_H,)), Overflow, _CAP),
+    ("filter_le", lambda: filter_le((1, 2), (1, _H)), Overflow, _CAP),
+    ("filter_le_oracle", lambda: filter_le_oracle((1, 2), (1, _H)), Overflow, _CAP),
+    ("classify", lambda: classify((1, _H)), Overflow, _CAP),
+    ("upset_in_Fprime", lambda: upset_in_Fprime((1, _H)), Overflow, _CAP),
+    ("primes_from_order_x", lambda: primes_from_order(_H, 3), Overflow, _CAP),
+    ("p_bound", lambda: primes_from_order(10**9, _H), Overflow, "capped at 200000"),
+    ("power_chain_x", lambda: power_chain_equal_set(_H, 1), Overflow, _CAP),
+    ("power_chain_n_max", lambda: power_chain_equal_set(2, _H), Overflow, _CAP),
+    ("closure", lambda: closure(1, _H), Overflow, _CAP),
+    ("closure_oracle", lambda: closure_oracle(1, _H, 1), Overflow, _CAP),
+    ("kirch_basic", lambda: Progression(1, _H).kirch_basic, Overflow, _TRIAL_CAP),
+    ("CongruenceSet_p", lambda: CongruenceSet({_H: 0}), Overflow, _CAP),
+    ("CongruenceSet_p-", lambda: CongruenceSet({-_H: 0}), NotPrime, "is not prime"),
+    ("CongruenceSet_k", lambda: CongruenceSet({3: _H}), ValueError, "0 <= k < p"),
+    ("CongruenceSet_k-", lambda: CongruenceSet({3: -_H}), ValueError, "0 <= k < p"),
+    ("members_hi", lambda: CongruenceSet().members(1, _H), Overflow, _CAP),
+    ("members_lo-", lambda: CongruenceSet().members(-_H, 5), ValueError, "need 1 <= lo <= hi"),
+    ("realize_p", lambda: realize((2, _H), {2: 1, _H: 1}), Overflow, _CAP),
+    ("realize_p-", lambda: realize((2, -_H), {2: 1, -_H: 0}), NotPrime, "is not prime"),
+    ("realize_alpha", lambda: realize((2, 3), {2: 1, 3: _H}), BadShape, "out of range [0, 3)"),
+    ("realize_alpha-", lambda: realize((2, 3), {2: 1, 3: -_H}), BadShape, "out of range [0, 3)"),
+    ("generator", lambda: generator(_D12, (_H,)), Overflow, _CAP),
+    ("generator-", lambda: generator(_D12, (-_H,)), NotPrime, "is not prime"),
+    ("vertices_p", lambda: vertices(_H, 5), Overflow, _CAP),
+    ("vertices_p-", lambda: vertices(-_H, 5), NotPrime, "is not prime"),
+    ("vertices_bound", lambda: vertices(3, _H), Overflow, _CAP),
+    ("edges_by_definition_p", lambda: edges_by_definition(_H, 5), Overflow, _CAP),
+    ("edges_by_definition_bound", lambda: edges_by_definition(3, _H), Overflow, _CAP),
+    ("edges_closed_form_p", lambda: edges_closed_form(_H, 5), Overflow, _CAP),
+    ("edges_closed_form_bound", lambda: edges_closed_form(3, _H), Overflow, _CAP),
+    ("gamma_graph_p", lambda: gamma_graph(_H, 5), Overflow, _CAP),
+    ("gamma_graph_bound", lambda: gamma_graph(3, _H), Overflow, _CAP),
+    ("gamma_graph_2_bound", lambda: gamma_graph(2, _H), Overflow, _CAP),
+    ("degree_infinite_p", lambda: degree_infinite(_H, 3), Overflow, _CAP),
+    ("degree_infinite_v", lambda: degree_infinite(3, _H), Overflow, "capped at 4096 bits"),
+    ("degree_infinite_v-", lambda: degree_infinite(3, -_H), NotAVertex, "is not positive"),
+]
+
+
+@pytest.mark.parametrize(
+    "call, exc, text", [pytest.param(*row[1:], id=row[0]) for row in _HUGE_REFUSALS]
+)
+def test_unbounded_operands_are_refused_by_the_domain_error(call, exc, text):
+    with pytest.raises(exc) as info:
+        _call_within_guard(call, ())
+    assert text in str(info.value)
