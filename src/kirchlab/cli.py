@@ -3,12 +3,18 @@
 Machine-readable output (JSON, DOT, member lists) goes to stdout;
 diagnostics and timing go to stderr.  Exit status: 0 success, 1 domain
 error or failed verification suite, 2 usage error.
+
+Every integer argument is read by `_integer`: a non-integer, and a decimal
+longer than Python converts (4300 digits by default), is a usage error
+with a short message.  `dispatch` prints every domain error and every usage
+error that argparse does not print itself.
 """
 from __future__ import annotations
 
-import argparse
 import json
+import re
 import sys
+from argparse import ArgumentParser, ArgumentTypeError
 
 from .numtheory import classify_prime
 from .progressions import closure
@@ -16,22 +22,32 @@ from .filters import classify, descriptor, filter_le, realize, upset_in_Fprime
 from .gamma import export_dot, gamma_graph
 from .verify import knobs, run_suite, suite_names
 
+# a base-10 literal as int() reads it; int() refuses one past
+# sys.get_int_max_str_digits() digits (0: no limit; absent before 3.10.7)
+_DECIMAL = re.compile(r"\s*[+-]?(\d+(?:_\d+)*)\s*")
 
-def _positive_int(text: str) -> int:
-    try:
+
+def _integer(text: str, positive: bool = False) -> int:
+    """text as an integer, at least 1 if positive, or an ArgumentTypeError."""
+    decimal = _DECIMAL.fullmatch(text)
+    if decimal:
+        digits = len(decimal[1].replace("_", ""))
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if 0 < limit < digits:
+            raise ArgumentTypeError(f"an integer of {digits} digits; at most {limit} are read")
         v = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
-    if v < 1:
-        raise argparse.ArgumentTypeError(f"need a positive integer, got {v}")
-    return v
+        if v >= 1 or not positive:
+            return v
+    shown = repr(text) if len(text) <= 40 else f"{text[:40]!r}..."
+    raise ArgumentTypeError(f"need {'a positive' if positive else 'an'} integer, got {shown}")
 
 
-def _int_csv(text: str) -> tuple:
-    try:
-        return tuple(int(part) for part in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a comma-separated integer list: {text!r}")
+def _positive(text: str) -> int:
+    return _integer(text, positive=True)
+
+
+def _integers(text: str) -> tuple:
+    return tuple(_integer(part) for part in text.split(","))
 
 
 def _emit(obj) -> None:
@@ -65,11 +81,9 @@ def _cmd_upset(args) -> int:
 
 def _cmd_realize(args) -> int:
     if len(args.primes) != len(args.alpha):
-        print("error: --primes and --alpha must have the same length", file=sys.stderr)
-        return 2
+        raise ArgumentTypeError("--primes and --alpha must have the same length")
     if len(set(args.primes)) != len(args.primes):
-        print("error: --primes must not repeat a prime", file=sys.stderr)
-        return 2
+        raise ArgumentTypeError("--primes must not repeat a prime")
     alpha = dict(zip(args.primes, args.alpha))
     E = realize(args.primes, alpha)
     _emit(descriptor(E).to_json_dict())
@@ -90,12 +104,10 @@ def _cmd_verify(args) -> int:
     if args.bound:
         names = knobs(args.suite)
         if len(args.bound) > len(names):
-            print(
-                f"error: suite {args.suite!r} takes at most {len(names)} --bound values "
-                f"({', '.join(names) or 'none'})",
-                file=sys.stderr,
+            raise ArgumentTypeError(
+                f"suite {args.suite!r} takes at most {len(names)} --bound values "
+                f"({', '.join(names) or 'none'})"
             )
-            return 2
         bounds = dict(zip(names, args.bound))
     report = run_suite(args.suite, bounds=bounds, seed=args.seed)
     _emit(report.to_json_dict())
@@ -114,19 +126,10 @@ def _cmd_primes(args) -> int:
 
 
 def _cmd_cmp(rest) -> int:
-    if "--" not in rest:
-        print("usage: kirchlab cmp E1 [E2 ...] -- F1 [F2 ...]", file=sys.stderr)
-        return 2
-    cut = rest.index("--")
-    try:
-        E = tuple(int(t) for t in rest[:cut])
-        F = tuple(int(t) for t in rest[cut + 1 :])
-    except ValueError:
-        print("error: cmp arguments must be integers", file=sys.stderr)
-        return 2
-    if not E or not F or min(min(E), min(F)) < 1:
-        print("usage: kirchlab cmp E1 [E2 ...] -- F1 [F2 ...] (positive integers)", file=sys.stderr)
-        return 2
+    cut = rest.index("--") if "--" in rest else len(rest)
+    E, F = tuple(map(_positive, rest[:cut])), tuple(map(_positive, rest[cut + 1 :]))
+    if not E or not F:
+        raise ArgumentTypeError("expected kirchlab cmp E1 [E2 ...] -- F1 [F2 ...]")
     le = filter_le(E, F)
     ge = filter_le(F, E)
     _emit(
@@ -141,71 +144,68 @@ def _cmd_cmp(rest) -> int:
     return 0
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+def _build_parser() -> ArgumentParser:
+    parser = ArgumentParser(
         prog="kirchlab",
         description="laboratory for the arithmetic-progression topology on the positive integers",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("closure", help="closure of a + b*N0 in normal form")
-    p.add_argument("a", type=_positive_int)
-    p.add_argument("b", type=_positive_int)
-    p.add_argument("--window", nargs=2, type=_positive_int, metavar=("LO", "HI"))
+    p.add_argument("a", type=_positive)
+    p.add_argument("b", type=_positive)
+    p.add_argument("--window", nargs=2, type=_positive, metavar=("LO", "HI"))
     p.set_defaults(func=_cmd_closure)
 
     p = sub.add_parser("filter", help="filter descriptor of a finite set")
-    p.add_argument("elements", nargs="+", type=_positive_int)
+    p.add_argument("elements", nargs="+", type=_positive)
     p.set_defaults(func=_cmd_filter)
 
     p = sub.add_parser("classify", help="coarse classification of a filter")
-    p.add_argument("elements", nargs="+", type=_positive_int)
+    p.add_argument("elements", nargs="+", type=_positive)
     p.set_defaults(func=_cmd_classify)
 
     p = sub.add_parser("upset", help="FPrime filters above a FDoublePrime filter")
-    p.add_argument("elements", nargs="+", type=_positive_int)
+    p.add_argument("elements", nargs="+", type=_positive)
     p.set_defaults(func=_cmd_upset)
 
     p = sub.add_parser("realize", help="witness set for prescribed signature data")
-    p.add_argument("--primes", type=_int_csv, required=True, metavar="P1,P2,...")
-    p.add_argument("--alpha", type=_int_csv, required=True, metavar="K1,K2,...")
+    p.add_argument("--primes", type=_integers, required=True, metavar="P1,P2,...")
+    p.add_argument("--alpha", type=_integers, required=True, metavar="K1,K2,...")
     p.set_defaults(func=_cmd_realize)
 
     p = sub.add_parser("gamma", help="bounded slice of the graph Gamma_p")
-    p.add_argument("p", type=_positive_int)
-    p.add_argument("--bound", type=_positive_int, required=True)
+    p.add_argument("p", type=_positive)
+    p.add_argument("--bound", type=_positive, required=True)
     p.add_argument("--format", choices=("dot", "json"), default="dot")
     p.set_defaults(func=_cmd_gamma)
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("suite", choices=suite_names())
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--bound", nargs="+", type=int, metavar="N")
+    p.add_argument("--seed", type=_integer, default=0)
+    p.add_argument("--bound", nargs="+", type=_integer, metavar="N")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("primes", help="prime utilities")
     psub = p.add_subparsers(dest="primes_command", required=True)
     pc = psub.add_parser("classify", help="shape of a prime relative to powers of two")
-    pc.add_argument("p", type=_positive_int)
+    pc.add_argument("p", type=_positive)
     pc.set_defaults(func=_cmd_primes)
 
     return parser
 
 
 def dispatch(argv) -> int:
-    if argv and argv[0] == "cmp":
-        try:
+    try:
+        if argv and argv[0] == "cmp":
             return _cmd_cmp(list(argv[1:]))
-        except ValueError as err:
-            print(f"error: {err}", file=sys.stderr)
-            return 1
-    parser = _build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as err:
-        return int(err.code or 0)
-    try:
+        args = _build_parser().parse_args(argv)
         return args.func(args)
+    except SystemExit as err:  # argparse has printed its usage error, or --help
+        return err.code or 0
+    except ArgumentTypeError as err:  # a usage error that argparse cannot see
+        print(f"error: {err}", file=sys.stderr)
+        return 2
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1

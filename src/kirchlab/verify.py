@@ -27,6 +27,8 @@ import numpy as np
 
 from .numtheory import (
     MAX_OPERAND,
+    _shown,
+    check_cap,
     classify_prime,
     consecutive_perfect_powers,
     prime_factors,
@@ -543,11 +545,7 @@ def _suite_powers(bounds, rng):
 
 def _suite_chains(bounds, rng):
     x_max, n_max = bounds["max_base"], bounds["max_exponent"]
-    if x_max**n_max > MAX_OPERAND:
-        raise ValueError(
-            f"suite chains: max_base ** max_exponent = {x_max**n_max} "
-            f"must be at most {MAX_OPERAND}"
-        )
+    check_cap("suite chains: max_base ** max_exponent", x_max**n_max, MAX_OPERAND)
     rec = _Recorder()
     checked = 0
     findings = []
@@ -574,7 +572,8 @@ class Knob:
 
     least is the least useful value: below it a suite checks nothing, or a
     phase has no range to draw from.  most keeps the suite's slowest
-    accepted setting near 10 s (2 vCPUs, Python 3.11).
+    accepted setting near 10 s (2 vCPUs, Python 3.11).  run_suite refuses a
+    value above most with check_cap's Overflow, one below least a ValueError.
     """
 
     default: int
@@ -656,9 +655,10 @@ def run_suite(name: str, bounds: dict = None, seed: int = 0) -> SuiteReport:
     """Run one registered suite and return its report.
 
     bounds overrides some of the suite's knobs(name), each within its least
-    and most value.  Any other key, the suite's fixed params in the _SUITES
-    table included, is rejected by name; a suite whose knobs are bounded
-    jointly refuses them in its first statement, so every refusal comes
+    and most value: past most, or past the suite's joint cap (chains:
+    max_base ** max_exponent), a knob is an Overflow "suite <name>: <knob>
+    capped at <most>, got <value>".  Any other key, the suite's fixed params
+    in the _SUITES table included, is rejected by name.  Every refusal comes
     before any work.  seed drives every randomized phase, making the report
     body reproducible.  A run that checks nothing is an error, never a pass.
     """
@@ -674,10 +674,9 @@ def run_suite(name: str, bounds: dict = None, seed: int = 0) -> SuiteReport:
     cfg = {k: v.default if isinstance(v, Knob) else v for k, v in params.items()}
     cfg.update(bounds)
     for knob, k in settable.items():
-        if cfg[knob] < k.least:
-            raise ValueError(f"suite {name}: {knob} must be at least {k.least}, got {cfg[knob]}")
-        if cfg[knob] > k.most:
-            raise ValueError(f"suite {name}: {knob} must be at most {k.most}, got {cfg[knob]}")
+        v = check_cap(f"suite {name}: {knob}", cfg[knob], k.most)
+        if v < k.least:
+            raise ValueError(f"suite {name}: {knob} must be at least {k.least}, got {_shown(v)}")
     rng = random.Random(seed)
     t0 = time.perf_counter()
     checked, rec, findings = suite(cfg, rng)

@@ -199,24 +199,27 @@ def test_verify_bound_at_a_least_value_of_zero_runs():
         (("closure", 7, 30, "--window", 1, 1000001), "window capped at 1000000 values"),
         (("closure", 7, 30, "--window", 10**12, 10**12 + 10), "window end capped at 1000000000"),
         (("upset", 10007, 20014), "p capped at 10000"),
-        (("verify", "classify", "--bound", 8193), "max_value must be at most 8192"),
-        (("verify", "pairA", "--bound", 1001), "max_value must be at most 1000"),
+        (("verify", "classify", "--bound", 8193), "max_value capped at 8192, got 8193"),
+        (("verify", "pairA", "--bound", 1001), "max_value capped at 1000, got 1001"),
         (("gamma", 3, "--bound", 10**9 + 1), "bound capped at 1000000000"),
-        (("verify", "gamma", "--bound", 10**9 + 1), "bound must be at most 1000000000"),
-        (("verify", "closure", "--bound", 401), "a_max must be at most 400"),
-        (("verify", "closure", "--bound", 1, 401), "b_max must be at most 400"),
-        (("verify", "order", "--bound", 34), "max_value must be at most 33"),
-        (("verify", "order", "--bound", 3, 1001), "random_max must be at most 1000"),
-        (("verify", "upsets", "--bound", 60001), "instances must be at most 60000"),
-        (("verify", "gamma", "--bound", 1, 161), "grid must be at most 160"),
-        (("verify", "zsigmondy", "--bound", 101), "max_base must be at most 100"),
-        (("verify", "zsigmondy", "--bound", 2, 141), "max_exponent must be at most 140"),
-        (("verify", "powers", "--bound", 10**13 + 1), "limit must be at most 10000000000000"),
-        (("verify", "chains", "--bound", 51, 1), "max_base must be at most 50"),
-        (("verify", "chains", "--bound", 2, 30), "max_exponent must be at most 29"),
+        (("verify", "gamma", "--bound", 10**9 + 1), "bound capped at 1000000000, got 1000000001"),
+        (("verify", "closure", "--bound", 401), "a_max capped at 400, got 401"),
+        (("verify", "closure", "--bound", 1, 401), "b_max capped at 400, got 401"),
+        (("verify", "order", "--bound", 34), "max_value capped at 33, got 34"),
+        (("verify", "order", "--bound", 3, 1001), "random_max capped at 1000, got 1001"),
+        (("verify", "upsets", "--bound", 60001), "instances capped at 60000, got 60001"),
+        (("verify", "gamma", "--bound", 1, 161), "grid capped at 160, got 161"),
+        (("verify", "zsigmondy", "--bound", 101), "max_base capped at 100, got 101"),
+        (("verify", "zsigmondy", "--bound", 2, 141), "max_exponent capped at 140, got 141"),
+        (
+            ("verify", "powers", "--bound", 10**13 + 1),
+            "limit capped at 10000000000000, got 10000000000001",
+        ),
+        (("verify", "chains", "--bound", 51, 1), "max_base capped at 50, got 51"),
+        (("verify", "chains", "--bound", 2, 30), "max_exponent capped at 29, got 30"),
         (
             ("verify", "chains", "--bound", 32, 6),
-            "max_base ** max_exponent = 1073741824 must be at most 1000000000",
+            "max_base ** max_exponent capped at 1000000000, got 1073741824",
         ),
         (("primes", "classify", 10**22 + 1), "capped at 1000000000000000000"),
         (("gamma", 10**9 + 7, "--bound", 5), "p capped at 1000000000"),
@@ -282,6 +285,63 @@ def test_usage_errors():
     assert run_cli().returncode == 2
     assert run_cli("frobnicate").returncode == 2
     assert run_cli("closure", 0, 6).returncode == 2
+
+
+# every usage error that argparse's own checks cannot see, and the text it names
+_USAGE_ERRORS = [
+    (("realize", "--primes", "2,3", "--alpha", "1"), "must have the same length"),
+    (("realize", "--primes", "2,3,3", "--alpha", "1,1,2"), "must not repeat a prime"),
+    (("verify", "powers", "--bound", "10", "20"), "takes at most 1 --bound values (limit)"),
+    (("verify", "realize", "--bound", "1"), "takes at most 0 --bound values (none)"),
+    (("cmp", "1", "2"), "expected kirchlab cmp E1"),
+    (("cmp", "--", "1"), "expected kirchlab cmp E1"),
+    (("cmp", "1", "--"), "expected kirchlab cmp E1"),
+    (("cmp", "1", "x", "--", "1"), "need a positive integer, got 'x'"),
+    (("cmp", "1", "--", "0"), "need a positive integer, got '0'"),
+]
+
+
+@pytest.mark.parametrize("argv, text", _USAGE_ERRORS, ids=[" ".join(a) for a, _ in _USAGE_ERRORS])
+def test_usage_errors_outside_argparse_exit_2(argv, text):
+    code, out, err = _dispatch(list(argv))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and text in err, err
+
+
+# one slot per integer argument; "{}" stands for the literal under test
+_INTEGER_SLOTS = [
+    ("closure", "{}", "6"),
+    ("closure", "5", "{}"),
+    ("closure", "5", "6", "--window", "{}", "9"),
+    ("closure", "5", "6", "--window", "1", "{}"),
+    ("filter", "3", "{}"),
+    ("classify", "{}", "6"),
+    ("upset", "3", "{}"),
+    ("realize", "--primes", "2,{}", "--alpha", "1,1"),
+    ("realize", "--primes", "2,3", "--alpha", "1,{}"),
+    ("gamma", "{}", "--bound", "5"),
+    ("gamma", "3", "--bound", "{}"),
+    ("verify", "powers", "--seed", "{}"),
+    ("verify", "powers", "--bound", "{}"),
+    ("verify", "chains", "--bound", "2", "{}"),
+    ("primes", "classify", "{}"),
+    ("cmp", "{}", "2", "--", "1"),
+    ("cmp", "1", "--", "1", "{}"),
+]
+
+
+@pytest.mark.parametrize("slot", _INTEGER_SLOTS, ids=" ".join)
+@pytest.mark.parametrize(
+    "literal", ["9" * 5001, "-" + "9" * 5001, "9" * 5000 + "x"], ids=["decimal", "-decimal", "x"]
+)
+def test_an_unbounded_literal_in_any_integer_slot_is_a_short_usage_error(slot, literal):
+    code, out, err = _dispatch([arg.replace("{}", literal) for arg in slot])
+    assert (code, out) == (2, "")
+    assert len(err) < 300 and "integer string conversion" not in err, err
+    if literal.endswith("x"):
+        assert f"integer, got '{'9' * 40}'...\n" in err
+    else:
+        assert "an integer of 5001 digits;" in err and "not an integer" not in err
 
 
 # sha256 of stdout for a fixed argv corpus (every subcommand), recorded before

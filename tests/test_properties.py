@@ -53,6 +53,7 @@ from kirchlab.gamma import (
     vertices,
 )
 from kirchlab.numtheory import MAX_OPERAND, MAX_TRIAL_OPERAND
+from kirchlab.verify import knobs, run_suite, suite_names
 
 small_sets = st.sets(st.integers(1, 120), min_size=2, max_size=4).map(lambda s: tuple(sorted(s)))
 
@@ -482,6 +483,30 @@ _HUGE_REFUSALS = [
     ("degree_infinite_p", lambda: degree_infinite(_H, 3), Overflow, _CAP),
     ("degree_infinite_v", lambda: degree_infinite(3, _H), Overflow, "capped at 4096 bits"),
     ("degree_infinite_v-", lambda: degree_infinite(3, -_H), NotAVertex, "is not positive"),
+]
+
+
+def _knob_refusals(name, knob, k):
+    # run_suite with knob past its greatest value, and below its least
+    return [
+        (
+            f"run_suite_{name}_{knob}",
+            lambda: run_suite(name, {knob: _H}),
+            Overflow,
+            f"suite {name}: {knob} capped at {k.most}, got a 16610-bit integer",
+        ),
+        (
+            f"run_suite_{name}_{knob}-",
+            lambda: run_suite(name, {knob: -_H}),
+            ValueError,
+            f"suite {name}: {knob} must be at least {k.least}, got a negative 16610-bit integer",
+        ),
+    ]
+
+
+_HUGE_REFUSALS += [
+    row for name in suite_names() for knob, k in knobs(name).items()
+    for row in _knob_refusals(name, knob, k)
 ]
 
 
