@@ -8,6 +8,9 @@ Every integer argument is read by `_integer`: a non-integer, and a decimal
 longer than Python converts (4300 digits by default), is a usage error
 with a short message.  `dispatch` prints every domain error and every usage
 error that argparse does not print itself.
+
+`cmp E1 [E2 ...] -- F1 [F2 ...]` is split at `--` outside argparse; its
+parser row serves the top-level `--help` and `cmp -h` (or `--help`) alone.
 """
 from __future__ import annotations
 
@@ -25,6 +28,7 @@ from .verify import knobs, run_suite, suite_names
 # a base-10 literal as int() reads it; int() refuses one past
 # sys.get_int_max_str_digits() digits (0: no limit; absent before 3.10.7)
 _DECIMAL = re.compile(r"\s*[+-]?(\d+(?:_\d+)*)\s*")
+_CMP_ARGS = "E1 [E2 ...] -- F1 [F2 ...]"
 
 
 def _integer(text: str, positive: bool = False) -> int:
@@ -129,7 +133,7 @@ def _cmd_cmp(rest) -> int:
     cut = rest.index("--") if "--" in rest else len(rest)
     E, F = tuple(map(_positive, rest[:cut])), tuple(map(_positive, rest[cut + 1 :]))
     if not E or not F:
-        raise ArgumentTypeError("expected kirchlab cmp E1 [E2 ...] -- F1 [F2 ...]")
+        raise ArgumentTypeError(f"expected kirchlab cmp {_CMP_ARGS}")
     le = filter_le(E, F)
     ge = filter_le(F, E)
     _emit(
@@ -169,6 +173,10 @@ def _build_parser() -> ArgumentParser:
     p.add_argument("elements", nargs="+", type=_positive)
     p.set_defaults(func=_cmd_upset)
 
+    sub.add_parser(
+        "cmp", usage=f"kirchlab cmp {_CMP_ARGS}", help=f"compare two filters: cmp {_CMP_ARGS}"
+    )
+
     p = sub.add_parser("realize", help="witness set for prescribed signature data")
     p.add_argument("--primes", type=_integers, required=True, metavar="P1,P2,...")
     p.add_argument("--alpha", type=_integers, required=True, metavar="K1,K2,...")
@@ -197,7 +205,7 @@ def _build_parser() -> ArgumentParser:
 
 def dispatch(argv) -> int:
     try:
-        if argv and argv[0] == "cmp":
+        if argv and argv[0] == "cmp" and argv[1:2] not in (["-h"], ["--help"]):
             return _cmd_cmp(list(argv[1:]))
         args = _build_parser().parse_args(argv)
         return args.func(args)

@@ -34,9 +34,10 @@ import numpy as np
 
 from .numtheory import (
     MAX_OPERAND,
-    Overflow,
+    Overflow,  # re-exported: check_cap raises it for this module's caps
     _shown,
     check_cap,
+    check_least,
     check_prime,
     crt_solve,
     is_prime,
@@ -93,8 +94,7 @@ def _element_tuple(E: Iterable[int]) -> tuple:
     elems = tuple(sorted({int(e) for e in E}))
     if not elems:
         raise TooSmall("need a nonempty set")
-    if elems[0] < 1:
-        raise ValueError("positive integers only")
+    check_least("elements", elems[0], 1)
     check_cap("elements", elems[-1], MAX_OPERAND)
     return elems
 
@@ -157,11 +157,9 @@ def pair_A(x: int, y: int) -> tuple:
 
     A({x, y}) = {2} | primes(x) | primes(y) | primes(|x - y|).
     """
-    x, y = int(x), int(y)
+    x, y = check_least("x", int(x), 1), check_least("y", int(y), 1)
     if x == y:
         raise ValueError("need two distinct elements")
-    if min(x, y) < 1:
-        raise ValueError("positive integers only")
     return tuple(sorted({2, *prime_factors(x), *prime_factors(y), *prime_factors(abs(x - y))}))
 
 
@@ -343,10 +341,7 @@ def primes_from_order(x: int, p_bound: int) -> tuple:
     Overflow for x above MAX_OPERAND or a clamped p_bound above
     MAX_ORDER_BOUND.
     """
-    x = int(x)
-    if x < 3:
-        raise ValueError("need x >= 3")
-    check_cap("x", x, MAX_OPERAND)
+    x = check_cap("x", check_least("x", int(x), 3), MAX_OPERAND)
     p_bound = check_cap("p_bound", min(int(p_bound), x), MAX_ORDER_BOUND)
     odd = primes_upto(p_bound)[1:].tolist()
     return tuple(
@@ -357,16 +352,13 @@ def primes_from_order(x: int, p_bound: int) -> tuple:
 def power_chain_equal_set(x: int, n_max: int) -> set:
     """{n <= n_max : filter({1, x^n}) equals filter({1, x})}.
 
-    Always contains 1.  Raises Overflow for x or n_max above MAX_OPERAND,
-    or when x^n_max exceeds it.
+    Always contains 1.  Raises Overflow for x above MAX_OPERAND, for n_max
+    above 29 (2^30 passes MAX_OPERAND), and for x^n_max above MAX_OPERAND.
     """
-    x, n_max = int(x), int(n_max)
-    if x < 2 or n_max < 1:
-        raise ValueError("need x >= 2 and n_max >= 1")
+    x, n_max = check_least("x", int(x), 2), check_least("n_max", int(n_max), 1)
     check_cap("x", x, MAX_OPERAND)
-    check_cap("n_max", n_max, MAX_OPERAND)
-    # 2^n_max alone passes the cap beyond its bit length: refuse before
-    # building a power of millions of digits
-    if n_max > MAX_OPERAND.bit_length() or x**n_max > MAX_OPERAND:
-        raise Overflow(f"x^n_max = {x}^{n_max} exceeds the capacity {MAX_OPERAND}")
+    # 2^30 already passes MAX_OPERAND: n_max is refused past 29 before any
+    # power of it is built
+    check_cap("n_max", n_max, MAX_OPERAND.bit_length() - 1)
+    check_cap("x^n_max", x**n_max, MAX_OPERAND)
     return {n for n in range(1, n_max + 1) if filter_eq((1, x**n), (1, x))}

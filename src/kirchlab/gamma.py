@@ -44,7 +44,15 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional
 
-from .numtheory import MAX_OPERAND, PrimeType, _shown, check_cap, check_prime, classify_prime
+from .numtheory import (
+    MAX_OPERAND,
+    PrimeType,
+    _shown,
+    check_cap,
+    check_least,
+    check_prime,
+    classify_prime,
+)
 
 
 # the gamma suite's largest vertex, 2**159 * 31**160, has 952 bits
@@ -74,10 +82,7 @@ class GammaGraph:
 
 
 def _check_bound(bound: int) -> int:
-    bound = int(bound)
-    if bound < 1:
-        raise ValueError("bound must be positive")
-    return check_cap("bound", bound, MAX_OPERAND)
+    return check_cap("bound", check_least("bound", int(bound), 1), MAX_OPERAND)
 
 
 def _check_odd_prime(p: int) -> int:

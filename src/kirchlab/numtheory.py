@@ -18,8 +18,9 @@ its operand (at most 31622), and is_square_free by those up to the cube
 root of its operand (at most 10**6).
 
 Every cap of the library refuses through check_cap, an Overflow naming the
-cap, and every required prime through check_prime; their messages show a
-large operand by its size, as str() of an int past 4300 digits fails.
+cap, every floor through check_least, a ValueError naming the floor, and
+every required prime through check_prime; their messages show a large
+operand by its size, as str() of an int past 4300 digits fails.
 """
 from __future__ import annotations
 
@@ -74,6 +75,13 @@ def check_cap(name: str, value: int, cap: int, unit: str = "") -> int:
     """value, refused with Overflow("<name> capped at <cap><unit>, got <value>") past cap."""
     if value > cap:
         raise Overflow(f"{name} capped at {cap}{unit}, got {_shown(value)}")
+    return value
+
+
+def check_least(name: str, value: int, least: int) -> int:
+    """value, refused with ValueError("<name> must be at least <least>, got <value>") below."""
+    if value < least:
+        raise ValueError(f"{name} must be at least {_shown(least)}, got {_shown(value)}")
     return value
 
 
@@ -187,18 +195,12 @@ def _factor_tuple(x: int) -> tuple:
 
 def prime_factors(x: int) -> tuple:
     """The distinct prime divisors of x, ascending.  prime_factors(1) is ()."""
-    x = int(x)
-    if x < 1:
-        raise ValueError("positive integers only")
-    return _factor_tuple(check_cap("operands", x, MAX_OPERAND))
+    return _factor_tuple(check_cap("operands", check_least("x", int(x), 1), MAX_OPERAND))
 
 
 def is_square_free(b: int) -> bool:
     """True when no prime square divides b; b is capped at MAX_TRIAL_OPERAND."""
-    b = int(b)
-    if b < 1:
-        raise ValueError("positive integers only")
-    check_cap("square-free operands", b, MAX_TRIAL_OPERAND)
+    b = check_cap("square-free operands", check_least("b", int(b), 1), MAX_TRIAL_OPERAND)
     for p in primes_upto(int(b ** (1 / 3)) + 1).tolist():
         if b % p == 0:
             b //= p
@@ -268,9 +270,7 @@ def zsigmondy_inclusion(a: int, n: int) -> bool:
     n(n-1)/2 * ceil(log2 a) bits, capped at 2**20 (about 1 s on a 2-vCPU
     host); a larger product is an Overflow naming the cap.
     """
-    a, n = int(a), int(n)
-    if a < 2 or n < 2:
-        raise ValueError("need a >= 2 and n >= 2")
+    a, n = check_least("a", int(a), 2), check_least("n", int(n), 2)
     # (a - 1).bit_length() is ceil(log2 a)
     bits = n * (n - 1) // 2 * (a - 1).bit_length()
     check_cap("the product of a^k - 1 over k < n", bits, _ZSIGMONDY_BITS, " bits")
@@ -290,10 +290,7 @@ def consecutive_perfect_powers(limit: int) -> list:
 
     limit is capped at 10**13; a larger one is an Overflow naming the cap.
     """
-    limit = int(limit)
-    if limit < 2:
-        raise ValueError("limit must be at least 2")
-    check_cap("limit", limit, _MAX_POWERS_LIMIT)
+    limit = check_cap("limit", check_least("limit", int(limit), 2), _MAX_POWERS_LIMIT)
     powers = set()
     m = 2
     while m * m <= limit:
@@ -314,9 +311,7 @@ def first_prime_in_progression(a: int, b: int) -> int:
     MAX_OPERAND, so that every candidate stays below about 10**15, within
     is_prime's cap; a larger value is an Overflow naming the cap.
     """
-    a, b = int(a), int(b)
-    if a < 1 or b < 1:
-        raise ValueError("need positive a and b")
+    a, b = check_least("a", int(a), 1), check_least("b", int(b), 1)
     check_cap("a", a, MAX_OPERAND)
     check_cap("b", b, MAX_OPERAND)
     if math.gcd(a, b) != 1:

@@ -30,7 +30,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .numtheory import MAX_OPERAND, _shown, check_cap, check_prime, is_square_free, prime_factors
+from .numtheory import (
+    MAX_OPERAND,
+    _shown,
+    check_cap,
+    check_least,
+    check_prime,
+    is_square_free,
+    prime_factors,
+)
 
 MAX_WINDOW = 10**6  # most values one members() call lists
 
@@ -43,10 +51,8 @@ class Progression:
     b: int
 
     def __post_init__(self):
-        object.__setattr__(self, "a", int(self.a))
-        object.__setattr__(self, "b", int(self.b))
-        if self.a < 1 or self.b < 1:
-            raise ValueError("need a >= 1 and b >= 1")
+        object.__setattr__(self, "a", check_least("a", int(self.a), 1))
+        object.__setattr__(self, "b", check_least("b", int(self.b), 1))
 
     @property
     def kirch_basic(self) -> bool:
@@ -127,10 +133,8 @@ class CongruenceSet:
         Raises ValueError unless 1 <= lo <= hi, and Overflow unless
         hi <= MAX_OPERAND and the window holds at most MAX_WINDOW values.
         """
-        lo, hi = int(lo), int(hi)
-        if lo < 1 or lo > hi:
-            raise ValueError("need 1 <= lo <= hi")
-        check_cap("window end", hi, MAX_OPERAND)
+        lo = check_least("lo", int(lo), 1)
+        hi = check_cap("window end", check_least("hi", int(hi), lo), MAX_OPERAND)
         n = check_cap("window", hi - lo + 1, MAX_WINDOW, " values")
         constraints = [
             (p, (0, k) if k else (0,)) for p, k in self.residues.items() if (p, k) != (2, 1)
@@ -166,9 +170,7 @@ def closure(a: int, b: int) -> CongruenceSet:
     One condition per prime divisor p of b; the vacuous parity condition
     (odd a, even b: z mod 2 in {0, 1}) is dropped from the normal form.
     """
-    a, b = int(a), int(b)
-    if a < 1 or b < 1:
-        raise ValueError("need a >= 1 and b >= 1")
+    a, b = check_least("a", int(a), 1), check_least("b", int(b), 1)
     return CongruenceSet({p: a % p for p in prime_factors(b) if p != 2 or a % 2 == 0})
 
 

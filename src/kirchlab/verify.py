@@ -27,8 +27,8 @@ import numpy as np
 
 from .numtheory import (
     MAX_OPERAND,
-    _shown,
     check_cap,
+    check_least,
     classify_prime,
     consecutive_perfect_powers,
     prime_factors,
@@ -71,9 +71,7 @@ def closure_oracle(a: int, b: int, z: int) -> bool:
     meets the progression; it suffices to intersect the neighborhoods
     z + p*N0 for the primes p of b not dividing z.
     """
-    a, b, z = int(a), int(b), int(z)
-    if a < 1 or b < 1 or z < 1:
-        raise ValueError("need positive a, b, z")
+    a, b, z = check_least("a", int(a), 1), check_least("b", int(b), 1), check_least("z", int(z), 1)
     base = Progression(a, b)
     for p in prime_factors(b):
         if z % p == 0:
@@ -180,7 +178,7 @@ class SuiteReport:
             "instances_checked": self.instances_checked,
             "failure_count": self.failure_count,
             "failures": [dict(f) for f in self.failures],
-            "findings": [f if not isinstance(f, dict) else dict(f) for f in self.findings],
+            "findings": [dict(f) for f in self.findings],
             "passed": self.passed,
         }
 
@@ -573,7 +571,7 @@ class Knob:
     least is the least useful value: below it a suite checks nothing, or a
     phase has no range to draw from.  most keeps the suite's slowest
     accepted setting near 10 s (2 vCPUs, Python 3.11).  run_suite refuses a
-    value above most with check_cap's Overflow, one below least a ValueError.
+    value above most with check_cap's Overflow, one below least with check_least.
     """
 
     default: int
@@ -654,11 +652,11 @@ def knobs(name: str) -> dict:
 def run_suite(name: str, bounds: dict = None, seed: int = 0) -> SuiteReport:
     """Run one registered suite and return its report.
 
-    bounds overrides some of the suite's knobs(name), each within its least
-    and most value: past most, or past the suite's joint cap (chains:
-    max_base ** max_exponent), a knob is an Overflow "suite <name>: <knob>
-    capped at <most>, got <value>".  Any other key, the suite's fixed params
-    in the _SUITES table included, is rejected by name.  Every refusal comes
+    bounds overrides some of the suite's knobs(name).  check_least refuses a
+    knob below its least value, and check_cap one past its most or past the
+    suite's joint cap (chains: max_base ** max_exponent), each under the name
+    "suite <name>: <knob>".  Any other key, the suite's fixed params in the
+    _SUITES table included, is rejected by name.  Every refusal comes
     before any work.  seed drives every randomized phase, making the report
     body reproducible.  A run that checks nothing is an error, never a pass.
     """
@@ -674,9 +672,8 @@ def run_suite(name: str, bounds: dict = None, seed: int = 0) -> SuiteReport:
     cfg = {k: v.default if isinstance(v, Knob) else v for k, v in params.items()}
     cfg.update(bounds)
     for knob, k in settable.items():
-        v = check_cap(f"suite {name}: {knob}", cfg[knob], k.most)
-        if v < k.least:
-            raise ValueError(f"suite {name}: {knob} must be at least {k.least}, got {_shown(v)}")
+        label = f"suite {name}: {knob}"
+        check_least(label, check_cap(label, cfg[knob], k.most), k.least)
     rng = random.Random(seed)
     t0 = time.perf_counter()
     checked, rec, findings = suite(cfg, rng)

@@ -152,6 +152,25 @@ def test_cmp():
     }
 
 
+# every argv that prints help: (argv, a line its stdout must hold)
+_HELP = [
+    (("--help",), "    cmp                 compare two filters: cmp E1 [E2 ...] -- F1 [F2 ...]"),
+    (("cmp", "--help"), "usage: kirchlab cmp E1 [E2 ...] -- F1 [F2 ...]"),
+    (("cmp", "-h"), "usage: kirchlab cmp E1 [E2 ...] -- F1 [F2 ...]"),
+]
+_SUBCOMMANDS = ("closure", "filter", "classify", "upset", "cmp", "realize", "gamma", "verify", "primes")
+
+
+@pytest.mark.parametrize("argv, line", _HELP, ids=[" ".join(a) for a, _ in _HELP])
+def test_help_prints_to_stdout_and_exits_0(monkeypatch, argv, line):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal width
+    code, out, err = _dispatch(list(argv))
+    assert (code, err) == (0, "")
+    assert line in out.splitlines(), out
+    if argv == ("--help",):
+        assert f"{{{','.join(_SUBCOMMANDS)}}}" in out, out
+
+
 def test_verify_exit_status_and_report():
     r = run_cli("verify", "powers", "--bound", 1000)
     assert r.returncode == 0

@@ -2,9 +2,6 @@
 
 import bisect
 import math
-import os
-import subprocess
-import sys
 import tracemalloc
 from functools import lru_cache
 
@@ -101,29 +98,22 @@ def test_primes_upto_reads_the_table_without_copying_it():
     assert peak < 1 << 16, peak
 
 
-def test_primes_upto_capacity_at_the_operand_cap():
-    # a fresh process per case, whose peak is VmHWM: exec resets it, while
-    # ru_maxrss keeps the peak of the test process that spawned it.  The
-    # documented capacity (module docstring) is about 230 MB measured.  The
-    # growth from half the cap must let the old table go before it sieves:
-    # holding the old table and the whole new one peaks near 330 MB
+def test_primes_upto_capacity_at_the_operand_cap(fresh_process):
+    # a fresh process per case.  The documented capacity (module docstring)
+    # is about 230 MB measured.  The growth from half the cap must let the
+    # old table go before it sieves: holding the old table and the whole new
+    # one peaks near 330 MB
     cases = (("", 400), ("primes_upto(MAX_OPERAND // 2)\n", 300))
-    src = os.path.dirname(os.path.dirname(numtheory.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
     for first, bound in cases:
         code = (
             "from kirchlab.numtheory import MAX_OPERAND, primes_upto\n"
             f"{first}"
             "t = primes_upto(MAX_OPERAND)\n"
-            "status = open('/proc/self/status').read()\n"
-            "mb = int(status.split('VmHWM:')[1].split()[0]) / 1024\n"
-            "print(len(t), int(t[-1]), mb)\n"
+            "print(len(t), int(t[-1]))\n"
         )
-        r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
-        assert r.returncode == 0, r.stderr
-        count, last, mb = r.stdout.split()
+        (count, last), mb = fresh_process(code)
         assert (int(count), int(last)) == (50847534, 999999937)
-        assert float(mb) < bound, (first, mb)
+        assert mb < bound, (first, mb)
 
 
 def test_is_prime_small_values():
@@ -258,10 +248,9 @@ def test_only_primes_upto_grows_the_table(monkeypatch):
         assert asked == [math.isqrt(x)], (x, asked)
 
 
-def test_calls_near_the_trial_cap_answer_at_once():
+def test_calls_near_the_trial_cap_answer_at_once(fresh_process):
     # a fresh process per call, each of which once grew the table to 10**9
-    # (12 s, 245 MB).  Its peak is VmHWM, which exec resets: ru_maxrss keeps
-    # the peak of the test process that spawned it
+    # (12 s, 245 MB)
     calls = (
         "is_prime(999999999999999989)",
         "is_square_free(999999937**2)",
@@ -269,8 +258,6 @@ def test_calls_near_the_trial_cap_answer_at_once():
         "is_square_free(1000003**2 * 997)",
         "999999999999999989 in descriptor((7,)).A",
     )
-    src = os.path.dirname(os.path.dirname(numtheory.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
     for call in calls:
         code = (
             "import time\n"
@@ -278,15 +265,11 @@ def test_calls_near_the_trial_cap_answer_at_once():
             "t = time.perf_counter()\n"
             f"answer = {call}\n"
             "s = time.perf_counter() - t\n"
-            "status = open('/proc/self/status').read()\n"
-            "mb = int(status.split('VmHWM:')[1].split()[0]) / 1024\n"
-            "print(answer, s, mb, numtheory._limit)\n"
+            "print(answer, s, numtheory._limit)\n"
         )
-        r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
-        assert r.returncode == 0, r.stderr
-        answer, s, mb, limit = r.stdout.split()
+        (answer, s, limit), mb = fresh_process(code)
         assert answer == str(call in (calls[0], calls[2], calls[4])), call
-        assert float(s) < 2 and float(mb) < 60 and int(limit) <= 10**6, (call, s, mb, limit)
+        assert float(s) < 2 and mb < 60 and int(limit) <= 10**6, (call, s, mb, limit)
 
 
 def test_realize_sorts_and_deduplicates_its_primes():

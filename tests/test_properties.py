@@ -403,7 +403,8 @@ _PAST_CAPS = [
     (primes_from_order, (10**6, MAX_ORDER_BOUND + 1), f"capped at {MAX_ORDER_BOUND}"),
     (consecutive_perfect_powers, (10**13 + 1,), f"capped at {10**13}"),
     (power_chain_equal_set, (MAX_OPERAND + 1, 1), f"capped at {MAX_OPERAND}"),
-    (power_chain_equal_set, (2, 30), f"exceeds the capacity {MAX_OPERAND}"),
+    (power_chain_equal_set, (2, 30), "n_max capped at 29"),
+    (power_chain_equal_set, (3, 19), rf"x\^n_max capped at {MAX_OPERAND}"),
     (CongruenceSet, ({MAX_OPERAND + 1: 0},), f"capped at {MAX_OPERAND}"),
     (realize, ((2, MAX_OPERAND + 1), {2: 1, MAX_OPERAND + 1: 1}), f"capped at {MAX_OPERAND}"),
     (vertices, (MAX_OPERAND + 7, 5), f"capped at {MAX_OPERAND}"),
@@ -454,7 +455,8 @@ _HUGE_REFUSALS = [
     ("primes_from_order_x", lambda: primes_from_order(_H, 3), Overflow, _CAP),
     ("p_bound", lambda: primes_from_order(10**9, _H), Overflow, "capped at 200000"),
     ("power_chain_x", lambda: power_chain_equal_set(_H, 1), Overflow, _CAP),
-    ("power_chain_n_max", lambda: power_chain_equal_set(2, _H), Overflow, _CAP),
+    ("power_chain_n_max", lambda: power_chain_equal_set(2, _H), Overflow,
+     "n_max capped at 29, got a 16610-bit integer"),
     ("closure", lambda: closure(1, _H), Overflow, _CAP),
     ("closure_oracle", lambda: closure_oracle(1, _H, 1), Overflow, _CAP),
     ("kirch_basic", lambda: Progression(1, _H).kirch_basic, Overflow, _TRIAL_CAP),
@@ -463,7 +465,8 @@ _HUGE_REFUSALS = [
     ("CongruenceSet_k", lambda: CongruenceSet({3: _H}), ValueError, "0 <= k < p"),
     ("CongruenceSet_k-", lambda: CongruenceSet({3: -_H}), ValueError, "0 <= k < p"),
     ("members_hi", lambda: CongruenceSet().members(1, _H), Overflow, _CAP),
-    ("members_lo-", lambda: CongruenceSet().members(-_H, 5), ValueError, "need 1 <= lo <= hi"),
+    ("members_lo-", lambda: CongruenceSet().members(-_H, 5), ValueError,
+     "lo must be at least 1, got a negative 16610-bit integer"),
     ("realize_p", lambda: realize((2, _H), {2: 1, _H: 1}), Overflow, _CAP),
     ("realize_p-", lambda: realize((2, -_H), {2: 1, -_H: 0}), NotPrime, "is not prime"),
     ("realize_alpha", lambda: realize((2, 3), {2: 1, 3: _H}), BadShape, "out of range [0, 3)"),
@@ -487,8 +490,14 @@ _HUGE_REFUSALS = [
 
 
 def _knob_refusals(name, knob, k):
-    # run_suite with knob past its greatest value, and below its least
+    # run_suite with knob one below its least value, and 10**5000 past either end
     return [
+        (
+            f"run_suite_{name}_{knob}_least-1",
+            lambda: run_suite(name, {knob: k.least - 1}),
+            ValueError,
+            f"suite {name}: {knob} must be at least {k.least}, got {k.least - 1}",
+        ),
         (
             f"run_suite_{name}_{knob}",
             lambda: run_suite(name, {knob: _H}),
@@ -517,3 +526,54 @@ def test_unbounded_operands_are_refused_by_the_domain_error(call, exc, text):
     with pytest.raises(exc) as info:
         _call_within_guard(call, ())
     assert text in str(info.value)
+
+
+# (id, call of one operand, the operand's name, its least value) for each
+# lower bound of the library; _knob_refusals holds those of run_suite's knobs
+_FLOORS = [
+    ("prime_factors", prime_factors, "x", 1),
+    ("is_square_free", is_square_free, "b", 1),
+    ("zsigmondy_a", lambda v: zsigmondy_inclusion(v, 2), "a", 2),
+    ("zsigmondy_n", lambda v: zsigmondy_inclusion(2, v), "n", 2),
+    ("perfect_powers", consecutive_perfect_powers, "limit", 2),
+    ("first_prime_a", lambda v: first_prime_in_progression(v, 1), "a", 1),
+    ("first_prime_b", lambda v: first_prime_in_progression(1, v), "b", 1),
+    ("Progression_a", lambda v: Progression(v, 1), "a", 1),
+    ("Progression_b", lambda v: Progression(1, v), "b", 1),
+    ("closure_a", lambda v: closure(v, 1), "a", 1),
+    ("closure_b", lambda v: closure(1, v), "b", 1),
+    ("members_lo", lambda v: CongruenceSet().members(v, 5), "lo", 1),
+    ("members_hi", lambda v: CongruenceSet({3: 1}).members(5, v), "hi", 5),
+    ("descriptor", lambda v: descriptor((v, 7)), "elements", 1),
+    ("filter_le", lambda v: filter_le((1, 2), (7, v)), "elements", 1),
+    ("pair_A_x", lambda v: pair_A(v, 7), "x", 1),
+    ("pair_A_y", lambda v: pair_A(7, v), "y", 1),
+    ("primes_from_order", lambda v: primes_from_order(v, 3), "x", 3),
+    ("power_chain_x", lambda v: power_chain_equal_set(v, 1), "x", 2),
+    ("power_chain_n_max", lambda v: power_chain_equal_set(2, v), "n_max", 1),
+    ("vertices_bound", lambda v: vertices(3, v), "bound", 1),
+    ("edges_by_definition_bound", lambda v: edges_by_definition(3, v), "bound", 1),
+    ("edges_closed_form_bound", lambda v: edges_closed_form(3, v), "bound", 1),
+    ("gamma_graph_2_bound", lambda v: gamma_graph(2, v), "bound", 1),
+    ("closure_oracle_a", lambda v: closure_oracle(v, 1, 1), "a", 1),
+    ("closure_oracle_b", lambda v: closure_oracle(1, v, 1), "b", 1),
+    ("closure_oracle_z", lambda v: closure_oracle(1, 1, v), "z", 1),
+]
+
+
+@pytest.mark.parametrize(
+    "call, name, least, value, shown",
+    [
+        pytest.param(call, name, least, value, shown, id=f"{row_id}-{shown_id}")
+        for row_id, call, name, least in _FLOORS
+        for value, shown, shown_id in (
+            (least - 1, str(least - 1), "least-1"),
+            (-_H, "a negative 16610-bit integer", "huge"),
+        )
+    ],
+)
+def test_every_floor_names_its_operand_floor_and_value(call, name, least, value, shown):
+    with pytest.raises(ValueError) as info:
+        _call_within_guard(call, (value,))
+    assert type(info.value) is ValueError
+    assert str(info.value) == f"{name} must be at least {least}, got {shown}"
