@@ -11,6 +11,9 @@ error that argparse does not print itself.
 
 `cmp E1 [E2 ...] -- F1 [F2 ...]` is split at `--` outside argparse; its
 parser row serves the top-level `--help` and `cmp -h` (or `--help`) alone.
+`realize`'s `--primes` and `--alpha` (or their prefixes) are joined to the
+token after each outside argparse too, which would take a list led by a
+minus sign, such as `--alpha -1,1`, for an option.
 """
 from __future__ import annotations
 
@@ -203,10 +206,25 @@ def _build_parser() -> ArgumentParser:
     return parser
 
 
+def _joined(argv: list) -> list:
+    """argv with each --primes and --alpha, or a prefix of either that argparse
+    accepts for it, joined to the token after it."""
+    out = []
+    for arg in argv:
+        last = out[-1] if out else ""
+        if len(last) > 2 and ("--primes".startswith(last) or "--alpha".startswith(last)):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def dispatch(argv) -> int:
     try:
         if argv and argv[0] == "cmp" and argv[1:2] not in (["-h"], ["--help"]):
             return _cmd_cmp(list(argv[1:]))
+        if argv and argv[0] == "realize":
+            argv = _joined(argv)
         args = _build_parser().parse_args(argv)
         return args.func(args)
     except SystemExit as err:  # argparse has printed its usage error, or --help

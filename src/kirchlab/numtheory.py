@@ -5,11 +5,14 @@ Prime tables, factorization, CRT over (residue, modulus) pairs, the
 divisors of a^n - 1, consecutive perfect powers, and least primes in
 arithmetic progressions.
 
-All prime enumeration goes through one shared int32 table of primes,
-grown on demand by a segmented odds-only sieve that strikes only the new
-range.  Operands are capped at MAX_OPERAND = 10**9: growing the table to
-that size takes 3-4.5 s on a 2-vCPU host and peaks at about 230 MB RSS (the
-table is 203 MB of it), which is the documented capacity of this module.
+All prime enumeration goes through one shared int32 table of primes. It
+is allocated once, with room for every prime up to MAX_OPERAND, and grown
+on demand in place: a segmented odds-only sieve strikes only the new range
+and writes its primes after the old ones, so the table is never copied and
+the OS maps only the pages the primes fill.  Operands are capped at
+MAX_OPERAND = 10**9: growing the table to that size takes 3-4.5 s on a
+2-vCPU host and peaks at about 230 MB RSS (the table is 203 MB of it),
+which is the documented capacity of this module.
 
 Only an explicit primes_upto call grows the table.  is_prime reads no
 table: it is Miller-Rabin over the bases 2..37, exact far past its 10**18
@@ -94,12 +97,6 @@ def check_prime(name: str, p: int, cap: int = MAX_OPERAND) -> int:
 
 _SIEVE_BLOCK = 1 << 20  # odd numbers struck at once while the table grows
 
-# the primes <= _limit; seeding it with those <= 31 lets the first growth,
-# to 31**2 at most, take its striking primes from the table itself
-_primes: np.ndarray = np.array([2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31], dtype=np.int32)
-_primes.flags.writeable = False
-_limit: int = 31
-
 
 def _pi_bound(x: int) -> int:
     # Dusart: pi(x) <= x / ln x * (1 + 1.2762 / ln x) for every x > 1
@@ -107,33 +104,40 @@ def _pi_bound(x: int) -> int:
     return int(x / ln * (1 + 1.2762 / ln)) + 1
 
 
+# room for every prime up to MAX_OPERAND, allocated once and never moved:
+# np.empty maps a page only when the sieve first writes to it, so the table
+# costs the memory of the primes it holds.  Seeding it with the primes <= 31
+# lets the first growth, to 31**2 at most, take its striking primes from it
+_table = np.empty(_pi_bound(MAX_OPERAND), dtype=np.int32)
+_table[:11] = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
+# the primes <= _limit, a read-only view of the front of _table
+_primes: np.ndarray = _table[:11]
+_primes.flags.writeable = False
+_limit: int = 31
+
+
 def _grow(new_limit: int) -> None:
     # segmented sieve of the odd numbers in (_limit, new_limit], block by
-    # block; each block is struck with the odd primes up to the square root
-    # of its end, which the table holds once it reaches that root
+    # block, writing the new primes in place after the old ones; each block
+    # is struck with the odd primes up to the square root of its end, which
+    # the table holds once it reaches that root
     global _primes, _limit
-    table = np.empty(_pi_bound(new_limit), dtype=np.int32)
     count = len(_primes)
-    table[:count] = _primes
-    # let the old table go before the sieve writes the new one's pages
-    # (np.empty maps them lazily), so the two are not held in full at once
-    _primes = table[:count]
-    _primes.flags.writeable = False
     lo = _limit
     while lo < new_limit:
         hi = min(lo + 2 * _SIEVE_BLOCK, new_limit, lo * lo)
         first = lo + 1 + lo % 2  # least odd number above lo
         flags = np.ones((hi - first) // 2 + 1, dtype=bool)
         root = np.int32(math.isqrt(hi))
-        for p in table[1:np.searchsorted(table[:count], root, side="right")].tolist():
+        for p in _table[1:np.searchsorted(_table[:count], root, side="right")].tolist():
             # the least odd multiple of p that is at least max(first, p * p)
             start = (max(-(-first // p), p) | 1) * p
             flags[(start - first) // 2::p] = False
         found = first + 2 * np.flatnonzero(flags)
-        table[count:count + len(found)] = found
+        _table[count:count + len(found)] = found
         count += len(found)
         lo = hi
-    _primes = table[:count]
+    _primes = _table[:count]
     _primes.flags.writeable = False
     _limit = new_limit
 
@@ -141,11 +145,15 @@ def _grow(new_limit: int) -> None:
 def primes_upto(n: int) -> np.ndarray:
     """All primes <= n, ascending, as a read-only int32 array.
 
-    int32 holds every prime the table can hold (MAX_OPERAND < 2**31).
+    int32 holds every prime the table can hold (MAX_OPERAND < 2**31).  The
+    array is a view of the shared table, which grows in place: it stays
+    valid and unchanged after later growth.
     """
     n = check_cap("prime table", int(n), MAX_OPERAND)
     if n > _limit:
-        _grow(min(max(n, 2 * _limit, 1000), MAX_OPERAND))
+        # an eighth more than the last limit at least: a logarithmic number
+        # of growths, none past n by more than 12.5 %
+        _grow(min(max(n, _limit + _limit // 8, 1000), MAX_OPERAND))
     # a typed key: a Python int would cast the whole table to int64
     idx = int(np.searchsorted(_primes, _primes.dtype.type(max(n, 0)), side="right"))
     return _primes[:idx]

@@ -631,9 +631,9 @@ _SUITES = {
     "powers": (_suite_powers, {"limit": Knob(10**6, 9, 10**13)}),
     # max_base ** max_exponent is also at most MAX_OPERAND, the operand cap
     # of descriptor(), which scans every prime up to each x^m; 29 is the largest
-    # n with 2^n within it.  31 6 is the slowest: 5.6-8.4 s, 254 MB (the
-    # default: 3.9 s, 150 MB; 19 7: 4.5-7.3 s, 290 MB; 10 9: 4.9 s, 229 MB;
-    # 2 29: 4.4 s, 246 MB)
+    # n with 2^n within it.  31 6 is the slowest: 3.4-3.6 s, 209 MB (the
+    # default: 1.5-1.7 s, 105 MB; 19 7: 2.9-3.2 s, 210 MB; 10 9: 2.8-3.0 s,
+    # 229 MB; 2 29: 1.3-1.5 s, 143 MB)
     "chains": (_suite_chains, {"max_base": Knob(50, 2, 50), "max_exponent": Knob(5, 1, 29)}),
 }
 

@@ -327,6 +327,21 @@ def test_usage_errors_outside_argparse_exit_2(argv, text):
     assert err.startswith("error: ") and err.count("\n") == 1 and text in err, err
 
 
+# domain errors of an option value led by a minus sign, which argparse alone
+# would take for an option and refuse as a usage error
+_DOMAIN_ERRORS = [
+    (("realize", "--primes", "2,3", "--alpha", "-1,1"), "alpha(2) must be 1"),
+    (("realize", "--primes", "-2,3", "--alpha", "1,1"), "-2 is not prime"),
+    (("realize", "--pr", "2,3", "--al", "-1,1"), "alpha(2) must be 1"),
+]
+
+
+@pytest.mark.parametrize("argv, text", _DOMAIN_ERRORS, ids=[" ".join(a) for a, _ in _DOMAIN_ERRORS])
+def test_domain_errors_exit_1(argv, text):
+    code, out, err = _dispatch(list(argv))
+    assert (code, out, err) == (1, "", f"error: {text}\n")
+
+
 # one slot per integer argument; "{}" stands for the literal under test
 _INTEGER_SLOTS = [
     ("closure", "{}", "6"),

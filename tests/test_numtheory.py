@@ -59,6 +59,14 @@ def _reference_upto_3e6():
     return _brute_primes(3_000_000)
 
 
+def _reset_table(monkeypatch):
+    # back to the seed primes <= 31: the growths that follow rewrite the
+    # slots after them with the same primes, and the larger limit returns
+    # when monkeypatch undoes this
+    monkeypatch.setattr(numtheory, "_primes", primes_upto(31))
+    monkeypatch.setattr(numtheory, "_limit", 31)
+
+
 _EDGE = 1000 + 2 * numtheory._SIEVE_BLOCK  # first block end of a growth from 1000
 
 
@@ -74,9 +82,7 @@ _EDGE = 1000 + 2 * numtheory._SIEVE_BLOCK  # first block end of a growth from 10
     ids=str,
 )
 def test_primes_upto_grows_in_steps_like_a_plain_sieve(monkeypatch, limits):
-    initial = primes_upto(31)
-    monkeypatch.setattr(numtheory, "_primes", initial)
-    monkeypatch.setattr(numtheory, "_limit", 31)
+    _reset_table(monkeypatch)
     ref = _reference_upto_3e6()
     for limit in limits:
         got = primes_upto(limit)
@@ -84,6 +90,28 @@ def test_primes_upto_grows_in_steps_like_a_plain_sieve(monkeypatch, limits):
         assert not got.flags.writeable and got.dtype == np.int32
         for m in (limit, limit - 1, limit // 2 + 1, 961, 31, 2, 1):
             assert primes_upto(m).tolist() == ref[: bisect.bisect_right(ref, m)], (limit, m)
+
+
+def test_a_returned_table_stays_valid_after_growth(monkeypatch):
+    _reset_table(monkeypatch)
+    ref = _reference_upto_3e6()
+    before = primes_upto(10**5)
+    after = primes_upto(2 * 10**6)
+    assert numtheory._limit >= 2 * 10**6
+    assert before.tolist() == ref[: bisect.bisect_right(ref, 10**5)]
+    assert after.tolist() == ref[: bisect.bisect_right(ref, 2 * 10**6)]
+    assert np.shares_memory(before, after)
+
+
+def test_ascending_calls_grow_the_table_a_logarithmic_number_of_times(monkeypatch):
+    _reset_table(monkeypatch)
+    grows = []
+    grow = numtheory._grow
+    monkeypatch.setattr(numtheory, "_grow", lambda limit: grows.append(limit) or grow(limit))
+    for n in range(1000, 10**6, 7):
+        primes_upto(n)
+    # each growth reaches an eighth past the last limit: log_{9/8} 1000 + 1
+    assert len(grows) <= math.ceil(math.log(1000, 9 / 8)) + 1, len(grows)
 
 
 def test_primes_upto_reads_the_table_without_copying_it():
@@ -100,9 +128,9 @@ def test_primes_upto_reads_the_table_without_copying_it():
 
 def test_primes_upto_capacity_at_the_operand_cap(fresh_process):
     # a fresh process per case.  The documented capacity (module docstring)
-    # is about 230 MB measured.  The growth from half the cap must let the
-    # old table go before it sieves: holding the old table and the whole new
-    # one peaks near 330 MB
+    # is about 230 MB measured.  The growth from half the cap writes after
+    # the primes the table holds: a growth that copied them into a new table
+    # would hold both, near 330 MB
     cases = (("", 400), ("primes_upto(MAX_OPERAND // 2)\n", 300))
     for first, bound in cases:
         code = (

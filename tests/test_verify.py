@@ -316,6 +316,20 @@ def test_chains_suite_small():
     )
 
 
+def test_chains_suite_sieves_no_further_than_it_needs(fresh_process):
+    # chains asks the sieve for the primes up to 50**5 and no further: a
+    # table grown by an eighth stops within 50**5 * 9 / 8.  Doubling reached
+    # 550731776 and copying the table at each growth peaked at 151 MB
+    code = (
+        "from kirchlab import numtheory, run_suite\n"
+        "report = run_suite('chains')\n"
+        "print(report.passed, numtheory._limit)\n"
+    )
+    (passed, limit), mb = fresh_process(code)
+    assert passed == "True"
+    assert int(limit) <= 50**5 + 50**5 // 8 and mb < 125, (limit, mb)
+
+
 def test_classify_suite_small():
     report = run_suite("classify", bounds={"max_value": 300}, seed=3)
     assert report.passed
