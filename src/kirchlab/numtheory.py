@@ -6,13 +6,14 @@ divisors of a^n - 1, consecutive perfect powers, and least primes in
 arithmetic progressions.
 
 All prime enumeration goes through one shared int32 table of primes. It
-is allocated once, with room for every prime up to MAX_OPERAND, and grown
-on demand in place: a segmented odds-only sieve strikes only the new range
-and writes its primes after the old ones, so the table is never copied and
-the OS maps only the pages the primes fill.  Operands are capped at
-MAX_OPERAND = 10**9: growing the table to that size takes 3-4.5 s on a
-2-vCPU host and peaks at about 230 MB RSS (the table is 203 MB of it),
-which is the documented capacity of this module.
+is allocated once, at the first growth past the seed primes <= 31, with room
+for every prime up to MAX_OPERAND, and grown on demand in place: a segmented
+odds-only sieve strikes only the new range and writes its primes after the
+old ones, so the table is never copied and the OS maps only the pages the
+primes fill.  Operands are capped at MAX_OPERAND = 10**9: growing the table
+to that size takes 3-4.5 s on a 2-vCPU host and peaks at about 230 MB RSS
+(the table is 203 MB of it), which is the documented capacity of this
+module.
 
 Only an explicit primes_upto call grows the table.  is_prime reads no
 table: it is Miller-Rabin over the bases 2..37, exact far past its 10**18
@@ -104,12 +105,12 @@ def _pi_bound(x: int) -> int:
     return int(x / ln * (1 + 1.2762 / ln)) + 1
 
 
-# room for every prime up to MAX_OPERAND, allocated once and never moved:
-# np.empty maps a page only when the sieve first writes to it, so the table
-# costs the memory of the primes it holds.  Seeding it with the primes <= 31
-# lets the first growth, to 31**2 at most, take its striking primes from it
-_table = np.empty(_pi_bound(MAX_OPERAND), dtype=np.int32)
-_table[:11] = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
+# the seed primes <= 31, from which the first growth, to 31**2 at most,
+# takes its striking primes.  That growth moves them into room for every
+# prime up to MAX_OPERAND, allocated then, not at import, and never moved
+# again: np.empty maps a page only when the sieve first writes to it, so the
+# table costs the memory of the primes it holds
+_table = np.array((2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31), dtype=np.int32)
 # the primes <= _limit, a read-only view of the front of _table
 _primes: np.ndarray = _table[:11]
 _primes.flags.writeable = False
@@ -121,8 +122,11 @@ def _grow(new_limit: int) -> None:
     # block, writing the new primes in place after the old ones; each block
     # is struck with the odd primes up to the square root of its end, which
     # the table holds once it reaches that root
-    global _primes, _limit
+    global _table, _primes, _limit
     count = len(_primes)
+    if len(_table) == count:  # the seed table, which has no room
+        _table = np.empty(_pi_bound(MAX_OPERAND), dtype=np.int32)
+        _table[:count] = _primes
     lo = _limit
     while lo < new_limit:
         hi = min(lo + 2 * _SIEVE_BLOCK, new_limit, lo * lo)

@@ -212,44 +212,38 @@ def test_verify_bound_at_a_least_value_of_zero_runs():
     assert doc["passed"] and doc["instances_checked"] > 0
 
 
-@pytest.mark.parametrize(
-    "argv, cap",
-    [
-        (("closure", 7, 30, "--window", 1, 1000001), "window capped at 1000000 values"),
-        (("closure", 7, 30, "--window", 10**12, 10**12 + 10), "window end capped at 1000000000"),
-        (("upset", 10007, 20014), "p capped at 10000"),
-        (("verify", "classify", "--bound", 8193), "max_value capped at 8192, got 8193"),
-        (("verify", "pairA", "--bound", 1001), "max_value capped at 1000, got 1001"),
-        (("gamma", 3, "--bound", 10**9 + 1), "bound capped at 1000000000"),
-        (("verify", "gamma", "--bound", 10**9 + 1), "bound capped at 1000000000, got 1000000001"),
-        (("verify", "closure", "--bound", 401), "a_max capped at 400, got 401"),
-        (("verify", "closure", "--bound", 1, 401), "b_max capped at 400, got 401"),
-        (("verify", "order", "--bound", 34), "max_value capped at 33, got 34"),
-        (("verify", "order", "--bound", 3, 1001), "random_max capped at 1000, got 1001"),
-        (("verify", "upsets", "--bound", 60001), "instances capped at 60000, got 60001"),
-        (("verify", "gamma", "--bound", 1, 161), "grid capped at 160, got 161"),
-        (("verify", "zsigmondy", "--bound", 101), "max_base capped at 100, got 101"),
-        (("verify", "zsigmondy", "--bound", 2, 141), "max_exponent capped at 140, got 141"),
-        (
-            ("verify", "powers", "--bound", 10**13 + 1),
-            "limit capped at 10000000000000, got 10000000000001",
-        ),
-        (("verify", "chains", "--bound", 51, 1), "max_base capped at 50, got 51"),
-        (("verify", "chains", "--bound", 2, 30), "max_exponent capped at 29, got 30"),
-        (
-            ("verify", "chains", "--bound", 32, 6),
-            "max_base ** max_exponent capped at 1000000000, got 1073741824",
-        ),
-        (("primes", "classify", 10**22 + 1), "capped at 1000000000000000000"),
-        (("gamma", 10**9 + 7, "--bound", 5), "p capped at 1000000000"),
-    ],
-)
-def test_argv_just_over_a_cap_is_a_domain_error(argv, cap):
+# (id, argv, message) just past each cap; the verify knobs' rows put each
+# knob one past its most in its --bound slot, after the knobs before it at
+# their defaults
+_CAPS_PAST = [
+    ("closure window", ("closure", 7, 30, "--window", 1, 1000001),
+     "window capped at 1000000 values, got 1000001"),
+    ("closure window end", ("closure", 7, 30, "--window", 10**12, 10**12 + 10),
+     "window end capped at 1000000000, got 1000000000010"),
+    ("upset p", ("upset", 10007, 20014), "case-1 up-set: p capped at 10000, got 10007"),
+    ("gamma bound", ("gamma", 3, "--bound", 10**9 + 1), "bound capped at 1000000000, got 1000000001"),
+    ("primes classify", ("primes", "classify", 10**22 + 1),
+     "primality operands capped at 1000000000000000000, got a 74-bit integer"),
+    ("gamma p", ("gamma", 10**9 + 7, "--bound", 5), "p capped at 1000000000, got 1000000007"),
+    ("verify chains joint", ("verify", "chains", "--bound", 32, 6),
+     "suite chains: max_base ** max_exponent capped at 1000000000, got 1073741824"),
+    *(
+        (f"verify {suite} {knob}",
+         ("verify", suite, "--bound", *[k.default for k in list(ks.values())[:i]], k.most + 1),
+         f"suite {suite}: {knob} capped at {k.most}, got {k.most + 1}")
+        for suite in suite_names()
+        for ks in [knobs(suite)]
+        for i, (knob, k) in enumerate(ks.items())
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, message", [pytest.param(*row[1:], id=row[0]) for row in _CAPS_PAST])
+def test_argv_just_over_a_cap_is_a_domain_error(argv, message):
     r = run_cli(*argv, timeout=60)
     assert r.returncode == 1
     assert r.stdout == ""
-    assert cap in r.stderr
-    assert "Traceback" not in r.stderr
+    assert r.stderr == f"error: {message}\n"
 
 
 @pytest.mark.parametrize(

@@ -144,6 +144,22 @@ def test_primes_upto_capacity_at_the_operand_cap(fresh_process):
         assert mb < bound, (first, mb)
 
 
+def test_small_operands_need_no_room_for_the_whole_table(fresh_process):
+    # a fresh process under a 300 MB address-space limit, set in that
+    # process alone: the table with room for every prime up to MAX_OPERAND
+    # (205 MB of address space) is allocated at the first growth, not at
+    # import, and these calls read only the seed primes
+    code = (
+        "import resource\n"
+        "hard = resource.getrlimit(resource.RLIMIT_AS)[1]\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (300_000 * 1024, hard))\n"
+        "from kirchlab import classify_prime, prime_factors\n"
+        "print(*prime_factors(6), classify_prime(7).tag)\n"
+    )
+    fields, _ = fresh_process(code)
+    assert fields == ["2", "3", "Mersenne"]
+
+
 def test_is_prime_small_values():
     reference = set(_brute_primes(2000))
     for n in range(-5, 2001):

@@ -1,12 +1,19 @@
 """Property-based tests tying the closed forms to brute-force semantics."""
 
+import ast
 import linecache
 import math
+import re
 import time
+from importlib import import_module
+from itertools import takewhile
+from pathlib import Path
+from typing import Callable, NamedTuple, Optional
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import kirchlab
 from kirchlab import (
     BadShape,
     CongruenceSet,
@@ -53,6 +60,7 @@ from kirchlab.gamma import (
     vertices,
 )
 from kirchlab.numtheory import MAX_OPERAND, MAX_TRIAL_OPERAND
+from kirchlab.progressions import MAX_WINDOW
 from kirchlab.verify import knobs, run_suite, suite_names
 
 small_sets = st.sets(st.integers(1, 120), min_size=2, max_size=4).map(lambda s: tuple(sorted(s)))
@@ -377,203 +385,243 @@ def test_every_library_call_answers_or_fails_with_a_domain_error(call):
         pass
 
 
-def degree_infinite_past_the_bit_cap():
-    # 3 * 2**4095, a vertex of Gamma_3 with 4097 bits, one past the cap;
-    # given as an argument, its thousand-digit repr would be the test id
-    return degree_infinite(3, 3 << 4095)
-
-
-_PAST_CAPS = [
-    (primes_upto, (MAX_OPERAND + 1,), f"capped at {MAX_OPERAND}"),
-    (is_prime, (MAX_TRIAL_OPERAND + 1,), f"capped at {MAX_TRIAL_OPERAND}"),
-    (is_square_free, (MAX_TRIAL_OPERAND + 1,), f"capped at {MAX_TRIAL_OPERAND}"),
-    (prime_factors, (MAX_OPERAND + 1,), f"capped at {MAX_OPERAND}"),
-    (classify_prime, (MAX_TRIAL_OPERAND + 1,), f"capped at {MAX_TRIAL_OPERAND}"),
-    (zsigmondy_inclusion, (2, 1449), "capped at 1048576 bits"),
-    (zsigmondy_inclusion, (10**6, 325), "capped at 1048576 bits"),
-    (first_prime_in_progression, (MAX_OPERAND + 1, 1), f"capped at {MAX_OPERAND}"),
-    (first_prime_in_progression, (1, MAX_OPERAND + 1), f"capped at {MAX_OPERAND}"),
-    (compute_A, ((1, MAX_OPERAND + 1),), f"capped at {MAX_OPERAND}"),
-    (pair_A, (1, MAX_OPERAND + 1), f"capped at {MAX_OPERAND}"),
-    (descriptor, ((MAX_OPERAND + 1,),), f"capped at {MAX_OPERAND}"),
-    (filter_le, ((1, 2), (1, MAX_OPERAND + 1)), f"capped at {MAX_OPERAND}"),
-    (classify, ((1, MAX_OPERAND + 1),), f"capped at {MAX_OPERAND}"),
-    (upset_in_Fprime, ((10007, 20014),), f"capped at {MAX_UPSET_PRIME}"),
-    (primes_from_order, (MAX_OPERAND + 1, 3), f"capped at {MAX_OPERAND}"),
-    (primes_from_order, (10**6, MAX_ORDER_BOUND + 1), f"capped at {MAX_ORDER_BOUND}"),
-    (consecutive_perfect_powers, (10**13 + 1,), f"capped at {10**13}"),
-    (power_chain_equal_set, (MAX_OPERAND + 1, 1), f"capped at {MAX_OPERAND}"),
-    (power_chain_equal_set, (2, 30), "n_max capped at 29"),
-    (power_chain_equal_set, (3, 19), rf"x\^n_max capped at {MAX_OPERAND}"),
-    (CongruenceSet, ({MAX_OPERAND + 1: 0},), f"capped at {MAX_OPERAND}"),
-    (realize, ((2, MAX_OPERAND + 1), {2: 1, MAX_OPERAND + 1: 1}), f"capped at {MAX_OPERAND}"),
-    (vertices, (MAX_OPERAND + 7, 5), f"capped at {MAX_OPERAND}"),
-    (degree_infinite, (MAX_OPERAND + 7, MAX_OPERAND + 7), f"capped at {MAX_OPERAND}"),
-    (generator, (descriptor((1, 2)), (MAX_OPERAND + 1,)), f"capped at {MAX_OPERAND}"),
-    (degree_infinite_past_the_bit_cap, (), "capped at 4096 bits"),
-]
-
-
-@pytest.mark.parametrize(
-    "fn, args, cap", _PAST_CAPS, ids=[f"{fn.__name__}{args}" for fn, args, _ in _PAST_CAPS]
-)
-def test_library_values_just_past_a_cap_are_a_domain_error(fn, args, cap):
-    with pytest.raises(Overflow, match=cap):
-        _call_within_guard(fn, args)
-
+# ---------------------------------------------------------------- domain table
 
 # 16610 bits, past the 4300 digits that str() converts by default
 _H = 10**5000
-_CAP, _TRIAL_CAP = f"capped at {MAX_OPERAND}", f"capped at {MAX_TRIAL_OPERAND}"
+_HUGE, _NEGATIVE = "a 16610-bit integer", "a negative 16610-bit integer"
 _D12 = descriptor((1, 2))
+_LO = 5  # the window start of the members_hi row, whose floor README states as "lo"
+_ZSIGMONDY = "the product of a^k - 1 over k < n"
 
-# (id, call, exception, message text) for each cap and range refusal that
-# an operand of either sign and unbounded size can reach
-_HUGE_REFUSALS = [
-    ("primes_upto", lambda: primes_upto(_H), Overflow, _CAP),
-    ("is_prime", lambda: is_prime(_H), Overflow, _TRIAL_CAP),
-    ("is_square_free", lambda: is_square_free(_H), Overflow, _TRIAL_CAP),
-    ("prime_factors", lambda: prime_factors(_H), Overflow, _CAP),
-    ("classify_prime", lambda: classify_prime(_H), Overflow, _TRIAL_CAP),
-    ("classify_prime-", lambda: classify_prime(-_H), NotPrime, "is not prime"),
-    ("crt_residue", lambda: crt_solve([(_H, 3)]), ValueError, "must lie in [0, 3)"),
-    ("crt_residue-", lambda: crt_solve([(-_H, 3)]), ValueError, "must lie in [0, 3)"),
-    ("crt_modulus", lambda: crt_solve([(0, 3 * _H), (0, 3)]), NonCoprimeModuli, "shares a factor"),
-    ("crt_product", lambda: crt_solve([(0, 3), (0, 3 * _H)]), NonCoprimeModuli, "shares a factor"),
-    ("zsigmondy_a", lambda: zsigmondy_inclusion(_H, 100), Overflow, "capped at 1048576 bits"),
-    ("zsigmondy_n", lambda: zsigmondy_inclusion(2, _H), Overflow, "capped at 1048576 bits"),
-    ("perfect_powers", lambda: consecutive_perfect_powers(_H), Overflow, f"capped at {10**13}"),
-    ("first_prime_a", lambda: first_prime_in_progression(_H, 1), Overflow, _CAP),
-    ("first_prime_b", lambda: first_prime_in_progression(1, _H), Overflow, _CAP),
-    ("compute_A", lambda: compute_A((1, _H)), Overflow, _CAP),
-    ("pair_A", lambda: pair_A(1, _H), Overflow, _CAP),
-    ("descriptor", lambda: descriptor((_H,)), Overflow, _CAP),
-    ("filter_le", lambda: filter_le((1, 2), (1, _H)), Overflow, _CAP),
-    ("filter_le_oracle", lambda: filter_le_oracle((1, 2), (1, _H)), Overflow, _CAP),
-    ("classify", lambda: classify((1, _H)), Overflow, _CAP),
-    ("upset_in_Fprime", lambda: upset_in_Fprime((1, _H)), Overflow, _CAP),
-    ("primes_from_order_x", lambda: primes_from_order(_H, 3), Overflow, _CAP),
-    ("p_bound", lambda: primes_from_order(10**9, _H), Overflow, "capped at 200000"),
-    ("power_chain_x", lambda: power_chain_equal_set(_H, 1), Overflow, _CAP),
-    ("power_chain_n_max", lambda: power_chain_equal_set(2, _H), Overflow,
-     "n_max capped at 29, got a 16610-bit integer"),
-    ("closure", lambda: closure(1, _H), Overflow, _CAP),
-    ("closure_oracle", lambda: closure_oracle(1, _H, 1), Overflow, _CAP),
-    ("kirch_basic", lambda: Progression(1, _H).kirch_basic, Overflow, _TRIAL_CAP),
-    ("CongruenceSet_p", lambda: CongruenceSet({_H: 0}), Overflow, _CAP),
-    ("CongruenceSet_p-", lambda: CongruenceSet({-_H: 0}), NotPrime, "is not prime"),
-    ("CongruenceSet_k", lambda: CongruenceSet({3: _H}), ValueError, "0 <= k < p"),
-    ("CongruenceSet_k-", lambda: CongruenceSet({3: -_H}), ValueError, "0 <= k < p"),
-    ("members_hi", lambda: CongruenceSet().members(1, _H), Overflow, _CAP),
-    ("members_lo-", lambda: CongruenceSet().members(-_H, 5), ValueError,
-     "lo must be at least 1, got a negative 16610-bit integer"),
-    ("realize_p", lambda: realize((2, _H), {2: 1, _H: 1}), Overflow, _CAP),
-    ("realize_p-", lambda: realize((2, -_H), {2: 1, -_H: 0}), NotPrime, "is not prime"),
-    ("realize_alpha", lambda: realize((2, 3), {2: 1, 3: _H}), BadShape, "out of range [0, 3)"),
-    ("realize_alpha-", lambda: realize((2, 3), {2: 1, 3: -_H}), BadShape, "out of range [0, 3)"),
-    ("generator", lambda: generator(_D12, (_H,)), Overflow, _CAP),
-    ("generator-", lambda: generator(_D12, (-_H,)), NotPrime, "is not prime"),
-    ("vertices_p", lambda: vertices(_H, 5), Overflow, _CAP),
-    ("vertices_p-", lambda: vertices(-_H, 5), NotPrime, "is not prime"),
-    ("vertices_bound", lambda: vertices(3, _H), Overflow, _CAP),
-    ("edges_by_definition_p", lambda: edges_by_definition(_H, 5), Overflow, _CAP),
-    ("edges_by_definition_bound", lambda: edges_by_definition(3, _H), Overflow, _CAP),
-    ("edges_closed_form_p", lambda: edges_closed_form(_H, 5), Overflow, _CAP),
-    ("edges_closed_form_bound", lambda: edges_closed_form(3, _H), Overflow, _CAP),
-    ("gamma_graph_p", lambda: gamma_graph(_H, 5), Overflow, _CAP),
-    ("gamma_graph_bound", lambda: gamma_graph(3, _H), Overflow, _CAP),
-    ("gamma_graph_2_bound", lambda: gamma_graph(2, _H), Overflow, _CAP),
-    ("degree_infinite_p", lambda: degree_infinite(_H, 3), Overflow, _CAP),
-    ("degree_infinite_v", lambda: degree_infinite(3, _H), Overflow, "capped at 4096 bits"),
-    ("degree_infinite_v-", lambda: degree_infinite(3, -_H), NotAVertex, "is not positive"),
+
+class Slot(NamedTuple):
+    """One operand slot of a public call, and its refusals at either end.
+
+    call takes the operand alone.  Past cap the call raises Overflow
+    "<capped_as or name> capped at <cap><unit>, got <value>"; below least a
+    plain ValueError "<name> must be at least <least>, got <value>"; None
+    marks an end with no such refusal.  A cap on a value derived from the
+    operand (a window's size, a bit count, a power) gives in derived the
+    operands to try, each with the value the message shows: one just past
+    the cap, and 10**5000 unless another cap refuses that first.
+    """
+
+    id: str
+    call: Callable
+    name: str
+    least: Optional[int]
+    cap: Optional[int]
+    unit: str = ""
+    capped_as: Optional[str] = None
+    derived: tuple = ()
+
+    def past_cap(self):
+        return self.derived or ((self.cap + 1, str(self.cap + 1)), (_H, _HUGE))
+
+
+_M, _T = MAX_OPERAND, MAX_TRIAL_OPERAND
+_GAMMA = (vertices, edges_by_definition, edges_closed_form, gamma_graph)
+
+# one row per operand slot of the library and of run_suite
+_SLOTS = [
+    Slot("primes_upto", primes_upto, "prime table", None, _M),
+    Slot("is_prime", is_prime, "primality operands", None, _T),
+    Slot("is_square_free", is_square_free, "b", 1, _T, capped_as="square-free operands"),
+    Slot("prime_factors", prime_factors, "x", 1, _M, capped_as="operands"),
+    Slot("classify_prime", classify_prime, "primality operands", None, _T),
+    Slot("zsigmondy_a", lambda a: zsigmondy_inclusion(a, 325), "a", 2, 2**20, " bits", _ZSIGMONDY,
+         ((10**6, "1053000"), (_H, "874516500"))),
+    Slot("zsigmondy_n", lambda n: zsigmondy_inclusion(2, n), "n", 2, 2**20, " bits", _ZSIGMONDY,
+         ((1449, "1049076"), (_H, "a 33219-bit integer"))),
+    Slot("perfect_powers", consecutive_perfect_powers, "limit", 2, 10**13),
+    Slot("first_prime_a", lambda a: first_prime_in_progression(a, 1), "a", 1, _M),
+    Slot("first_prime_b", lambda b: first_prime_in_progression(1, b), "b", 1, _M),
+    Slot("compute_A", lambda v: compute_A((1, v)), "elements", 1, _M),
+    Slot("pair_A_x", lambda x: pair_A(x, 7), "x", 1, _M, capped_as="operands"),
+    Slot("pair_A_y", lambda y: pair_A(1, y), "y", 1, _M, capped_as="operands"),
+    Slot("descriptor", lambda v: descriptor((v,)), "elements", 1, _M),
+    Slot("filter_le", lambda v: filter_le((1, 2), (1, v)), "elements", 1, _M),
+    Slot("filter_le_oracle", lambda v: filter_le_oracle((1, 2), (1, v)), "elements", 1, _M),
+    Slot("classify", lambda v: classify((1, v)), "elements", 1, _M),
+    Slot("upset_in_Fprime", lambda v: upset_in_Fprime((1, v)), "elements", 1, _M),
+    # {p, 2p} is FDoublePrime case 1; 10007 is the least prime past the cap
+    Slot("upset_p", lambda p: upset_in_Fprime((p, 2 * p)), "case-1 up-set: p", None,
+         MAX_UPSET_PRIME, derived=((10007, "10007"),)),
+    Slot("primes_from_order_x", lambda x: primes_from_order(x, 3), "x", 3, _M),
+    # p_bound is clamped to x before its cap
+    Slot("p_bound", lambda b: primes_from_order(_M, b), "p_bound", None, MAX_ORDER_BOUND,
+         derived=((MAX_ORDER_BOUND + 1, "200001"), (_H, "1000000000"))),
+    Slot("power_chain_x", lambda x: power_chain_equal_set(x, 1), "x", 2, _M),
+    Slot("power_chain_n_max", lambda n: power_chain_equal_set(2, n), "n_max", 1, 29),
+    Slot("x^n_max", lambda n: power_chain_equal_set(3, n), "x^n_max", None, _M,
+         derived=((19, "1162261467"),)),
+    Slot("Progression_a", lambda a: Progression(a, 1), "a", 1, None),
+    Slot("Progression_b", lambda b: Progression(1, b).kirch_basic, "b", 1, _T,
+         capped_as="square-free operands"),
+    Slot("closure_a", lambda a: closure(a, 1), "a", 1, None),
+    Slot("closure_b", lambda b: closure(1, b), "b", 1, _M, capped_as="operands"),
+    Slot("closure_oracle_a", lambda a: closure_oracle(a, 1, 1), "a", 1, None),
+    Slot("closure_oracle_b", lambda b: closure_oracle(1, b, 1), "b", 1, _M, capped_as="operands"),
+    Slot("closure_oracle_z", lambda z: closure_oracle(1, 1, z), "z", 1, None),
+    Slot("CongruenceSet_p", lambda p: CongruenceSet({p: 0}), "constraint primes", None, _M),
+    Slot("members_lo", lambda lo: CongruenceSet().members(lo, 5), "lo", 1, None),
+    Slot("members_hi", lambda hi: CongruenceSet({3: 1}).members(_LO, hi), "hi", _LO, _M,
+         capped_as="window end"),
+    # from lo = 1 the window holds hi values; 10**5000 meets the window end's cap first
+    Slot("window", lambda hi: CongruenceSet().members(1, hi), "window", None, MAX_WINDOW, " values",
+         derived=((MAX_WINDOW + 1, "1000001"),)),
+    Slot("realize_p", lambda p: realize((2, p), {2: 1, p: 1}), "primes of A", None, _M),
+    Slot("generator", lambda p: generator(_D12, (p,)), "constraint primes", None, _M),
+    *(Slot(f"{fn.__name__}_p", lambda p, fn=fn: fn(p, 5), "p", None, _M) for fn in _GAMMA),
+    *(Slot(f"{fn.__name__}_bound", lambda b, fn=fn: fn(3, b), "bound", 1, _M) for fn in _GAMMA),
+    Slot("gamma_graph_2_bound", lambda b: gamma_graph(2, b), "bound", 1, _M),
+    Slot("degree_infinite_p", lambda p: degree_infinite(p, 3), "p", None, _M),
+    # 3 * 2**4095 is a vertex of Gamma_3 with 4097 bits
+    Slot("degree_infinite_v", lambda v: degree_infinite(3, v), "vertices", None, 4096, " bits",
+         derived=((3 << 4095, "4097"), (_H, "16610"))),
+    *(
+        Slot(f"run_suite_{s}_{knob}", lambda v, s=s, knob=knob: run_suite(s, {knob: v}),
+             f"suite {s}: {knob}", k.least, k.most)
+        for s in suite_names() for knob, k in knobs(s).items()
+    ),
+    Slot("run_suite_chains_joint",
+         lambda n: run_suite("chains", {"max_base": 32, "max_exponent": n}),
+         "suite chains: max_base ** max_exponent", None, _M, derived=((6, "1073741824"),)),
+]
+
+# the slots of a required prime, which refuse a negative operand as not prime
+_PRIME_SLOTS = {"classify_prime", "CongruenceSet_p", "realize_p", "generator", "degree_infinite_p",
+                *(f"{fn.__name__}_p" for fn in _GAMMA)}
+
+# (id, call of one operand, the operand, exception, message) for each
+# refusal that is neither a cap nor a floor
+_OTHER_REFUSALS = [
+    *((f"{s.id}-negative", s.call, -_H, NotPrime, f"{_NEGATIVE} is not prime")
+      for s in _SLOTS if s.id in _PRIME_SLOTS),
+    ("crt_residue-huge", lambda r: crt_solve([(r, 3)]), _H, ValueError,
+     f"residue {_HUGE} must lie in [0, 3)"),
+    ("crt_residue-negative", lambda r: crt_solve([(r, 3)]), -_H, ValueError,
+     f"residue {_NEGATIVE} must lie in [0, 3)"),
+    ("crt_modulus-huge", lambda m: crt_solve([(0, m), (0, 3)]), 3 * _H, NonCoprimeModuli,
+     "modulus 3 shares a factor with a 16612-bit integer"),
+    ("crt_product-huge", lambda m: crt_solve([(0, 3), (0, m)]), 3 * _H, NonCoprimeModuli,
+     "modulus a 16612-bit integer shares a factor with 3"),
+    ("CongruenceSet_k-huge", lambda k: CongruenceSet({3: k}), _H, ValueError,
+     f"residue must satisfy 0 <= k < p, got {_HUGE} mod 3"),
+    ("CongruenceSet_k-negative", lambda k: CongruenceSet({3: k}), -_H, ValueError,
+     f"residue must satisfy 0 <= k < p, got {_NEGATIVE} mod 3"),
+    ("realize_alpha-huge", lambda k: realize((2, 3), {2: 1, 3: k}), _H, BadShape,
+     f"alpha(3) = {_HUGE} out of range [0, 3)"),
+    ("realize_alpha-negative", lambda k: realize((2, 3), {2: 1, 3: k}), -_H, BadShape,
+     f"alpha(3) = {_NEGATIVE} out of range [0, 3)"),
+    ("degree_infinite_v-negative", lambda v: degree_infinite(3, v), -_H, NotAVertex,
+     f"{_NEGATIVE} is not positive"),
 ]
 
 
-def _knob_refusals(name, knob, k):
-    # run_suite with knob one below its least value, and 10**5000 past either end
-    return [
-        (
-            f"run_suite_{name}_{knob}_least-1",
-            lambda: run_suite(name, {knob: k.least - 1}),
-            ValueError,
-            f"suite {name}: {knob} must be at least {k.least}, got {k.least - 1}",
-        ),
-        (
-            f"run_suite_{name}_{knob}",
-            lambda: run_suite(name, {knob: _H}),
-            Overflow,
-            f"suite {name}: {knob} capped at {k.most}, got a 16610-bit integer",
-        ),
-        (
-            f"run_suite_{name}_{knob}-",
-            lambda: run_suite(name, {knob: -_H}),
-            ValueError,
-            f"suite {name}: {knob} must be at least {k.least}, got a negative 16610-bit integer",
-        ),
-    ]
-
-
-_HUGE_REFUSALS += [
-    row for name in suite_names() for knob, k in knobs(name).items()
-    for row in _knob_refusals(name, knob, k)
-]
+def _domain_cases(s):
+    # slot s just past each end, and 10**5000 past it
+    if s.cap is not None:
+        for kind, (value, shown) in zip(("past", "huge"), s.past_cap()):
+            message = f"{s.capped_as or s.name} capped at {s.cap}{s.unit}, got {shown}"
+            yield pytest.param(s.call, value, Overflow, message, id=f"{s.id}-{kind}")
+    if s.least is not None:
+        below = (("least-1", s.least - 1, str(s.least - 1)), ("negative", -_H, _NEGATIVE))
+        for kind, value, shown in below:
+            message = f"{s.name} must be at least {s.least}, got {shown}"
+            yield pytest.param(s.call, value, ValueError, message, id=f"{s.id}-{kind}")
 
 
 @pytest.mark.parametrize(
-    "call, exc, text", [pytest.param(*row[1:], id=row[0]) for row in _HUGE_REFUSALS]
+    "call, value, exc, message",
+    [case for s in _SLOTS for case in _domain_cases(s)]
+    + [pytest.param(*row[1:], id=row[0]) for row in _OTHER_REFUSALS],
 )
-def test_unbounded_operands_are_refused_by_the_domain_error(call, exc, text):
+def test_every_refusal_has_its_class_and_whole_message(call, value, exc, message):
     with pytest.raises(exc) as info:
-        _call_within_guard(call, ())
-    assert text in str(info.value)
-
-
-# (id, call of one operand, the operand's name, its least value) for each
-# lower bound of the library; _knob_refusals holds those of run_suite's knobs
-_FLOORS = [
-    ("prime_factors", prime_factors, "x", 1),
-    ("is_square_free", is_square_free, "b", 1),
-    ("zsigmondy_a", lambda v: zsigmondy_inclusion(v, 2), "a", 2),
-    ("zsigmondy_n", lambda v: zsigmondy_inclusion(2, v), "n", 2),
-    ("perfect_powers", consecutive_perfect_powers, "limit", 2),
-    ("first_prime_a", lambda v: first_prime_in_progression(v, 1), "a", 1),
-    ("first_prime_b", lambda v: first_prime_in_progression(1, v), "b", 1),
-    ("Progression_a", lambda v: Progression(v, 1), "a", 1),
-    ("Progression_b", lambda v: Progression(1, v), "b", 1),
-    ("closure_a", lambda v: closure(v, 1), "a", 1),
-    ("closure_b", lambda v: closure(1, v), "b", 1),
-    ("members_lo", lambda v: CongruenceSet().members(v, 5), "lo", 1),
-    ("members_hi", lambda v: CongruenceSet({3: 1}).members(5, v), "hi", 5),
-    ("descriptor", lambda v: descriptor((v, 7)), "elements", 1),
-    ("filter_le", lambda v: filter_le((1, 2), (7, v)), "elements", 1),
-    ("pair_A_x", lambda v: pair_A(v, 7), "x", 1),
-    ("pair_A_y", lambda v: pair_A(7, v), "y", 1),
-    ("primes_from_order", lambda v: primes_from_order(v, 3), "x", 3),
-    ("power_chain_x", lambda v: power_chain_equal_set(v, 1), "x", 2),
-    ("power_chain_n_max", lambda v: power_chain_equal_set(2, v), "n_max", 1),
-    ("vertices_bound", lambda v: vertices(3, v), "bound", 1),
-    ("edges_by_definition_bound", lambda v: edges_by_definition(3, v), "bound", 1),
-    ("edges_closed_form_bound", lambda v: edges_closed_form(3, v), "bound", 1),
-    ("gamma_graph_2_bound", lambda v: gamma_graph(2, v), "bound", 1),
-    ("closure_oracle_a", lambda v: closure_oracle(v, 1, 1), "a", 1),
-    ("closure_oracle_b", lambda v: closure_oracle(1, v, 1), "b", 1),
-    ("closure_oracle_z", lambda v: closure_oracle(1, 1, v), "z", 1),
-]
-
-
-@pytest.mark.parametrize(
-    "call, name, least, value, shown",
-    [
-        pytest.param(call, name, least, value, shown, id=f"{row_id}-{shown_id}")
-        for row_id, call, name, least in _FLOORS
-        for value, shown, shown_id in (
-            (least - 1, str(least - 1), "least-1"),
-            (-_H, "a negative 16610-bit integer", "huge"),
-        )
-    ],
-)
-def test_every_floor_names_its_operand_floor_and_value(call, name, least, value, shown):
-    with pytest.raises(ValueError) as info:
         _call_within_guard(call, (value,))
-    assert type(info.value) is ValueError
-    assert str(info.value) == f"{name} must be at least {least}, got {shown}"
+    assert type(info.value) is exc
+    assert str(info.value) == message
+
+
+def _readme_table(header):
+    # the cells of each row of README's table whose header row starts with header
+    lines = (Path(__file__).parents[1] / "README.md").read_text().splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith(header))
+    rows = takewhile(lambda line: line.startswith("|"), lines[start + 2:])
+    return [[cell.strip() for cell in row.strip("|").split("|")] for row in rows]
+
+
+_SUPERSCRIPTS = str.maketrans("⁰¹²³⁴⁵⁶⁷⁸⁹", "0123456789")
+
+
+def _readme_number(text):
+    # 4096, 60 000, 10⁹, 2·10⁵ or 2²⁰, as README writes them
+    match = re.fullmatch(r"(?:(\d+)·)?(\d+)([⁰¹²³⁴⁵⁶⁷⁸⁹]*)", text.replace(" ", ""))
+    factor, base, power = match.groups()
+    return int(factor or 1) * int(base) ** int(power.translate(_SUPERSCRIPTS) or 1)
+
+
+def _refused_at(call, value):
+    # the cap or floor that the code names when it refuses value
+    with pytest.raises(ValueError) as info:
+        call(value)
+    return int(re.search(r"(?:capped at|at least) (\d+)", str(info.value))[1])
+
+
+def _code_cap(s):
+    return _refused_at(s.call, s.past_cap()[0][0])
+
+
+def test_readme_states_the_caps_floors_and_knobs_the_code_refuses_at():
+    # each table both ways: every row states a bound that the code refuses
+    # at, read from its message, and every such bound has a row
+    library = [s for s in _SLOTS if not s.name.startswith("suite ")]
+    rows = [cap for cap, *_ in _readme_table("| cap |")]
+    rows.remove("a knob's greatest value")  # the row that refers to the suite table
+    caps = []
+    for cap in rows:
+        pattern = r"(.+?)( values| bits)?(?: \(`(\w+)\.(\w+)`\))?"
+        text, unit, module, const = re.fullmatch(pattern, cap).groups()
+        value = _readme_number(text)
+        assert const is None or getattr(import_module(f"kirchlab.{module}"), const) == value, cap
+        caps.append((value, unit or ""))
+    assert sorted(caps) == sorted({(_code_cap(s), s.unit) for s in library if s.cap is not None})
+
+    floors = [_LO if f == "lo" else _readme_number(f) for f, _ in _readme_table("| floor |")]
+    code = {_refused_at(s.call, s.least - 1) for s in library if s.least is not None}
+    assert sorted(floors) == sorted(code)
+
+    suites = dict(_readme_table("| suite "))
+    stated = {
+        suite: {
+            knob: tuple(map(_readme_number, ends))
+            for knob, *ends in re.findall(r"`(\w+)` ([^–]+)–(.+?) \((.+?)\)", text)
+        }
+        for suite, text in suites.items()
+    }
+    code = {s: {n: (k.least, k.most, k.default) for n, k in knobs(s).items()} for s in suite_names()}
+    assert stated == code
+    joint = {
+        (f"suite {suite}: {name}", _readme_number(most))
+        for suite, text in suites.items()
+        for name, most in re.findall(r"`([^`]+)` at most (\S+)", text)
+    }
+    joint_caps = [s for s in _SLOTS if s.name.startswith("suite ") and s.least is None]
+    assert joint == {(s.name, _code_cap(s)) for s in joint_caps}
+
+
+def test_every_refusal_name_in_the_source_has_a_row():
+    # the string-literal names that src passes to check_cap, to check_prime
+    # (which caps the prime under that name) and to check_least
+    named = {"check_cap": set(), "check_prime": set(), "check_least": set()}
+    for path in Path(kirchlab.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            fn = getattr(getattr(node, "func", None), "id", None)
+            if fn in named and isinstance(node.args[0], ast.Constant):
+                named[fn].add(node.args[0].value)
+    assert all(named.values()), named
+    capped = {s.capped_as or s.name for s in _SLOTS if s.cap is not None}
+    assert (named["check_cap"] | named["check_prime"]) - capped == set()
+    assert named["check_least"] - {s.name for s in _SLOTS if s.least is not None} == set()
