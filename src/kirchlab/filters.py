@@ -157,7 +157,8 @@ def pair_A(x: int, y: int) -> tuple:
 
     A({x, y}) = {2} | primes(x) | primes(y) | primes(|x - y|).
     """
-    x, y = check_least("x", int(x), 1), check_least("y", int(y), 1)
+    x = check_cap("x", check_least("x", int(x), 1), MAX_OPERAND)
+    y = check_cap("y", check_least("y", int(y), 1), MAX_OPERAND)
     if x == y:
         raise ValueError("need two distinct elements")
     return tuple(sorted({2, *prime_factors(x), *prime_factors(y), *prime_factors(abs(x - y))}))

@@ -207,12 +207,12 @@ def _factor_tuple(x: int) -> tuple:
 
 def prime_factors(x: int) -> tuple:
     """The distinct prime divisors of x, ascending.  prime_factors(1) is ()."""
-    return _factor_tuple(check_cap("operands", check_least("x", int(x), 1), MAX_OPERAND))
+    return _factor_tuple(check_cap("x", check_least("x", int(x), 1), MAX_OPERAND))
 
 
 def is_square_free(b: int) -> bool:
     """True when no prime square divides b; b is capped at MAX_TRIAL_OPERAND."""
-    b = check_cap("square-free operands", check_least("b", int(b), 1), MAX_TRIAL_OPERAND)
+    b = check_cap("b", check_least("b", int(b), 1), MAX_TRIAL_OPERAND)
     for p in primes_upto(int(b ** (1 / 3)) + 1).tolist():
         if b % p == 0:
             b //= p

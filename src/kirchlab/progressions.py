@@ -134,7 +134,7 @@ class CongruenceSet:
         hi <= MAX_OPERAND and the window holds at most MAX_WINDOW values.
         """
         lo = check_least("lo", int(lo), 1)
-        hi = check_cap("window end", check_least("hi", int(hi), lo), MAX_OPERAND)
+        hi = check_cap("hi", check_least("hi", int(hi), lo), MAX_OPERAND)
         n = check_cap("window", hi - lo + 1, MAX_WINDOW, " values")
         constraints = [
             (p, (0, k) if k else (0,)) for p, k in self.residues.items() if (p, k) != (2, 1)
@@ -170,7 +170,7 @@ def closure(a: int, b: int) -> CongruenceSet:
     One condition per prime divisor p of b; the vacuous parity condition
     (odd a, even b: z mod 2 in {0, 1}) is dropped from the normal form.
     """
-    a, b = check_least("a", int(a), 1), check_least("b", int(b), 1)
+    a, b = check_least("a", int(a), 1), check_cap("b", check_least("b", int(b), 1), MAX_OPERAND)
     return CongruenceSet({p: a % p for p in prime_factors(b) if p != 2 or a % 2 == 0})
 
 

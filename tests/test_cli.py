@@ -219,7 +219,7 @@ _CAPS_PAST = [
     ("closure window", ("closure", 7, 30, "--window", 1, 1000001),
      "window capped at 1000000 values, got 1000001"),
     ("closure window end", ("closure", 7, 30, "--window", 10**12, 10**12 + 10),
-     "window end capped at 1000000000, got 1000000000010"),
+     "hi capped at 1000000000, got 1000000000010"),
     ("upset p", ("upset", 10007, 20014), "case-1 up-set: p capped at 10000, got 10007"),
     ("gamma bound", ("gamma", 3, "--bound", 10**9 + 1), "bound capped at 1000000000, got 1000000001"),
     ("primes classify", ("primes", "classify", 10**22 + 1),

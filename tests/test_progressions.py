@@ -114,7 +114,7 @@ def test_members_window_is_capped():
     assert len(top) == MAX_WINDOW and top[-1] == MAX_OPERAND
     with pytest.raises(ValueError, match=f"window capped at {MAX_WINDOW} values"):
         everything.members(1, MAX_WINDOW + 1)
-    with pytest.raises(ValueError, match=f"window end capped at {MAX_OPERAND}"):
+    with pytest.raises(ValueError, match=f"hi capped at {MAX_OPERAND}"):
         everything.members(MAX_OPERAND, MAX_OPERAND + 1)
 
 

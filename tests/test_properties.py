@@ -269,6 +269,24 @@ def test_subset_oracle_is_consistent_with_windows(a, b):
     assert got == brute
 
 
+@st.composite
+def _congruence_sets(draw):
+    # a map p -> k over a subset of the primes <= 13, the marker 2 -> 1 included
+    primes = draw(st.sets(st.sampled_from((2, 3, 5, 7, 11, 13))))
+    return CongruenceSet({p: draw(st.integers(0, p - 1)) for p in primes})
+
+
+@given(_congruence_sets(), _congruence_sets())
+@example(CongruenceSet(), CongruenceSet({2: 1}))  # the marker allows every residue
+@example(CongruenceSet({3: 0}), CongruenceSet({2: 1, 3: 2}))
+def test_congruence_set_subset_matches_the_definition(s1, s2):
+    # s1 lies in s2 iff every z of one joint period [1, P] that s1 holds,
+    # s2 holds too; membership is read from the residues, not by members
+    P = math.prod({*s1.primes_mentioned(), *s2.primes_mentioned()})
+    brute = all(s2.contains(z) for z in range(1, P + 1) if s1.contains(z))
+    assert congruence_set_subset(s1, s2) == brute
+
+
 @given(st.integers(1, 2048), st.integers(1, 4096))
 def test_doubleton_infinity_characterization(x, y):
     if x == y:
@@ -399,12 +417,13 @@ class Slot(NamedTuple):
     """One operand slot of a public call, and its refusals at either end.
 
     call takes the operand alone.  Past cap the call raises Overflow
-    "<capped_as or name> capped at <cap><unit>, got <value>"; below least a
-    plain ValueError "<name> must be at least <least>, got <value>"; None
-    marks an end with no such refusal.  A cap on a value derived from the
-    operand (a window's size, a bit count, a power) gives in derived the
-    operands to try, each with the value the message shows: one just past
-    the cap, and 10**5000 unless another cap refuses that first.
+    "<name> capped at <cap><unit>, got <value>"; below least a plain
+    ValueError "<name> must be at least <least>, got <value>"; None marks an
+    end with no such refusal.  A cap on a value derived from the operand (a
+    window's size, a bit count, a power) has a row of its own, named as its
+    message names the value, and gives in derived the operands to try, each
+    with the value the message shows: one just past the cap, and 10**5000
+    unless another cap refuses that first.
     """
 
     id: str
@@ -413,7 +432,6 @@ class Slot(NamedTuple):
     least: Optional[int]
     cap: Optional[int]
     unit: str = ""
-    capped_as: Optional[str] = None
     derived: tuple = ()
 
     def past_cap(self):
@@ -427,19 +445,22 @@ _GAMMA = (vertices, edges_by_definition, edges_closed_form, gamma_graph)
 _SLOTS = [
     Slot("primes_upto", primes_upto, "prime table", None, _M),
     Slot("is_prime", is_prime, "primality operands", None, _T),
-    Slot("is_square_free", is_square_free, "b", 1, _T, capped_as="square-free operands"),
-    Slot("prime_factors", prime_factors, "x", 1, _M, capped_as="operands"),
+    Slot("is_square_free", is_square_free, "b", 1, _T),
+    Slot("prime_factors", prime_factors, "x", 1, _M),
     Slot("classify_prime", classify_prime, "primality operands", None, _T),
-    Slot("zsigmondy_a", lambda a: zsigmondy_inclusion(a, 325), "a", 2, 2**20, " bits", _ZSIGMONDY,
-         ((10**6, "1053000"), (_H, "874516500"))),
-    Slot("zsigmondy_n", lambda n: zsigmondy_inclusion(2, n), "n", 2, 2**20, " bits", _ZSIGMONDY,
-         ((1449, "1049076"), (_H, "a 33219-bit integer"))),
+    Slot("zsigmondy_a", lambda a: zsigmondy_inclusion(a, 325), "a", 2, None),
+    Slot("zsigmondy_n", lambda n: zsigmondy_inclusion(2, n), "n", 2, None),
+    # a and n are capped through the bit count of the product they span
+    Slot("zsigmondy_bits_a", lambda a: zsigmondy_inclusion(a, 325), _ZSIGMONDY, None, 2**20,
+         " bits", ((10**6, "1053000"), (_H, "874516500"))),
+    Slot("zsigmondy_bits_n", lambda n: zsigmondy_inclusion(2, n), _ZSIGMONDY, None, 2**20,
+         " bits", ((1449, "1049076"), (_H, "a 33219-bit integer"))),
     Slot("perfect_powers", consecutive_perfect_powers, "limit", 2, 10**13),
     Slot("first_prime_a", lambda a: first_prime_in_progression(a, 1), "a", 1, _M),
     Slot("first_prime_b", lambda b: first_prime_in_progression(1, b), "b", 1, _M),
     Slot("compute_A", lambda v: compute_A((1, v)), "elements", 1, _M),
-    Slot("pair_A_x", lambda x: pair_A(x, 7), "x", 1, _M, capped_as="operands"),
-    Slot("pair_A_y", lambda y: pair_A(1, y), "y", 1, _M, capped_as="operands"),
+    Slot("pair_A_x", lambda x: pair_A(x, 7), "x", 1, _M),
+    Slot("pair_A_y", lambda y: pair_A(1, y), "y", 1, _M),
     Slot("descriptor", lambda v: descriptor((v,)), "elements", 1, _M),
     Slot("filter_le", lambda v: filter_le((1, 2), (1, v)), "elements", 1, _M),
     Slot("filter_le_oracle", lambda v: filter_le_oracle((1, 2), (1, v)), "elements", 1, _M),
@@ -457,18 +478,16 @@ _SLOTS = [
     Slot("x^n_max", lambda n: power_chain_equal_set(3, n), "x^n_max", None, _M,
          derived=((19, "1162261467"),)),
     Slot("Progression_a", lambda a: Progression(a, 1), "a", 1, None),
-    Slot("Progression_b", lambda b: Progression(1, b).kirch_basic, "b", 1, _T,
-         capped_as="square-free operands"),
+    Slot("Progression_b", lambda b: Progression(1, b).kirch_basic, "b", 1, _T),
     Slot("closure_a", lambda a: closure(a, 1), "a", 1, None),
-    Slot("closure_b", lambda b: closure(1, b), "b", 1, _M, capped_as="operands"),
+    Slot("closure_b", lambda b: closure(1, b), "b", 1, _M),
     Slot("closure_oracle_a", lambda a: closure_oracle(a, 1, 1), "a", 1, None),
-    Slot("closure_oracle_b", lambda b: closure_oracle(1, b, 1), "b", 1, _M, capped_as="operands"),
+    Slot("closure_oracle_b", lambda b: closure_oracle(1, b, 1), "b", 1, _M),
     Slot("closure_oracle_z", lambda z: closure_oracle(1, 1, z), "z", 1, None),
     Slot("CongruenceSet_p", lambda p: CongruenceSet({p: 0}), "constraint primes", None, _M),
     Slot("members_lo", lambda lo: CongruenceSet().members(lo, 5), "lo", 1, None),
-    Slot("members_hi", lambda hi: CongruenceSet({3: 1}).members(_LO, hi), "hi", _LO, _M,
-         capped_as="window end"),
-    # from lo = 1 the window holds hi values; 10**5000 meets the window end's cap first
+    Slot("members_hi", lambda hi: CongruenceSet({3: 1}).members(_LO, hi), "hi", _LO, _M),
+    # from lo = 1 the window holds hi values; 10**5000 meets hi's own cap first
     Slot("window", lambda hi: CongruenceSet().members(1, hi), "window", None, MAX_WINDOW, " values",
          derived=((MAX_WINDOW + 1, "1000001"),)),
     Slot("realize_p", lambda p: realize((2, p), {2: 1, p: 1}), "primes of A", None, _M),
@@ -524,7 +543,7 @@ def _domain_cases(s):
     # slot s just past each end, and 10**5000 past it
     if s.cap is not None:
         for kind, (value, shown) in zip(("past", "huge"), s.past_cap()):
-            message = f"{s.capped_as or s.name} capped at {s.cap}{s.unit}, got {shown}"
+            message = f"{s.name} capped at {s.cap}{s.unit}, got {shown}"
             yield pytest.param(s.call, value, Overflow, message, id=f"{s.id}-{kind}")
     if s.least is not None:
         below = (("least-1", s.least - 1, str(s.least - 1)), ("negative", -_H, _NEGATIVE))
@@ -543,6 +562,14 @@ def test_every_refusal_has_its_class_and_whole_message(call, value, exc, message
         _call_within_guard(call, (value,))
     assert type(info.value) is exc
     assert str(info.value) == message
+
+
+def test_the_operands_with_no_cap_answer_at_any_size():
+    # a progression's a and closure_oracle's z are read only modulo the
+    # primes of b, so README's caps table names no cap for them
+    assert closure(_H, 6) == closure(_H % 6, 6)
+    assert closure_oracle(_H, 6, _H)
+    assert Progression(_H, 1).kirch_basic
 
 
 def _readme_table(header):
@@ -622,6 +649,6 @@ def test_every_refusal_name_in_the_source_has_a_row():
             if fn in named and isinstance(node.args[0], ast.Constant):
                 named[fn].add(node.args[0].value)
     assert all(named.values()), named
-    capped = {s.capped_as or s.name for s in _SLOTS if s.cap is not None}
+    capped = {s.name for s in _SLOTS if s.cap is not None}
     assert (named["check_cap"] | named["check_prime"]) - capped == set()
     assert named["check_least"] - {s.name for s in _SLOTS if s.least is not None} == set()

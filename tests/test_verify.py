@@ -4,6 +4,7 @@ import json
 import random
 import re
 import time
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -20,6 +21,7 @@ from kirchlab import (
     filter_le_oracle,
     filters,
     gamma,
+    generator,
     intersect,
     numtheory,
     run_suite,
@@ -392,6 +394,24 @@ def _le_missing_as_zero(dE, dF):
     # reads a prime of A_F outside A_E as a zero of alpha_E
     aE = dE.alpha
     return all(aE.get(p, 0) in (0, k) for p, k in dF.alpha.items())
+
+
+def test_the_oracle_searches_every_choice_of_L0_once(monkeypatch):
+    # with every membership granted, the search walks all of its choices:
+    # each subset L0 of A_F \ A_E once, the singletons first
+    asked = []
+    monkeypatch.setattr(
+        verify, "_member_of_filter", lambda memo, B, dF, extra_pool=(): asked.append(B) or True
+    )
+    E, F = (1, 2), (1, 106)  # A_E = {2}, A_F = {2, 3, 5, 7, 53}
+    assert filter_le_oracle(E, F)
+    dE = filters.descriptor(E)
+    outside = (3, 5, 7, 53)
+    assert tuple(p for p in filters.descriptor(F).alpha if p not in dE.alpha) == outside
+    every = [generator(dE, L0) for n in range(len(outside) + 1) for L0 in combinations(outside, n)]
+    assert len(asked) == 2 ** len(outside) == len(set(asked))
+    assert set(asked) == set(every)
+    assert asked[:len(outside)] == [generator(dE, (p,)) for p in outside]
 
 
 def _subset_ignoring_free_primes(s1, s2):
