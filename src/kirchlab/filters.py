@@ -30,8 +30,6 @@ from functools import lru_cache
 from types import MappingProxyType
 from typing import Iterable, Optional, Union
 
-import numpy as np
-
 from .numtheory import (
     MAX_OPERAND,
     Overflow,  # re-exported: check_cap raises it for this module's caps
@@ -168,6 +166,8 @@ def pair_A(x: int, y: int) -> tuple:
 def _descriptor_cached(elems: tuple) -> FilterDescriptor:
     if len(elems) == 1:
         return FilterDescriptor(elems, None)
+    import numpy as np
+
     # alpha(2) = 1; an odd p whose residues are all 0 or their maximum k
     # gets k (0 at a common divisor).  The int32 prime table holds every
     # operand (MAX_OPERAND < 2**31) and divides faster; blocks of primes

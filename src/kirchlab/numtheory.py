@@ -5,9 +5,11 @@ Prime tables, factorization, CRT over (residue, modulus) pairs, the
 divisors of a^n - 1, consecutive perfect powers, and least primes in
 arithmetic progressions.
 
-All prime enumeration goes through one shared int32 table of primes. It
-is allocated once, at the first growth past the seed primes <= 31, with room
-for every prime up to MAX_OPERAND, and grown on demand in place: a segmented
+All prime enumeration goes through one shared int32 table of primes.  The
+seed primes <= 31 are a tuple until the first primes_upto call, which makes
+the table and is the first to import numpy, so that `import kirchlab`
+does not.  The table gets room for every prime up to MAX_OPERAND at its
+first growth past the seed and grows on demand in place: a segmented
 odds-only sieve strikes only the new range and writes its primes after the
 old ones, so the table is never copied and the OS maps only the pages the
 primes fill.  Operands are capped at MAX_OPERAND = 10**9: growing the table
@@ -15,11 +17,12 @@ to that size takes 3-4.5 s on a 2-vCPU host and peaks at about 230 MB RSS
 (the table is 203 MB of it), which is the documented capacity of this
 module.
 
-Only an explicit primes_upto call grows the table.  is_prime reads no
-table: it is Miller-Rabin over the bases 2..37, exact far past its 10**18
-cap.  prime_factors trial-divides by the primes up to the square root of
-its operand (at most 31622), and is_square_free by those up to the cube
-root of its operand (at most 10**6).
+Only an explicit primes_upto call grows the table, and only primes_upto
+reads it.  is_prime is Miller-Rabin over the bases 2..37, exact far past
+its 10**18 cap.  prime_factors trial-divides by 2, 3, 5 and the numbers
+prime to 30 up to the square root of its operand (at most 31622), and
+is_square_free by those up to the cube root of its operand (at most
+10**6).
 
 Every cap of the library refuses through check_cap, an Overflow naming the
 cap, every floor through check_least, a ValueError naming the floor, and
@@ -31,13 +34,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Optional
+from typing import TYPE_CHECKING, Iterable, Optional
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 MAX_OPERAND = 10**9
 # largest operand of is_prime and is_square_free; its cube root, 10**6,
-# bounds the primes is_square_free divides by
+# bounds the trial divisors of is_square_free
 MAX_TRIAL_OPERAND = MAX_OPERAND**2
 # Miller-Rabin over these bases is exact below 3.1 * 10**23 (Sorenson and
 # Webster, Math. Comp. 2017)
@@ -106,14 +110,15 @@ def _pi_bound(x: int) -> int:
 
 
 # the seed primes <= 31, from which the first growth, to 31**2 at most,
-# takes its striking primes.  That growth moves them into room for every
-# prime up to MAX_OPERAND, allocated then, not at import, and never moved
-# again: np.empty maps a page only when the sieve first writes to it, so the
-# table costs the memory of the primes it holds
-_table = np.array((2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31), dtype=np.int32)
-# the primes <= _limit, a read-only view of the front of _table
-_primes: np.ndarray = _table[:11]
-_primes.flags.writeable = False
+# takes its striking primes: a tuple until the first primes_upto call makes
+# them an int32 array.  That growth moves them into room for every prime up
+# to MAX_OPERAND, allocated then and never moved again: np.empty maps a page
+# only when the sieve first writes to it, so the table costs the memory of
+# the primes it holds
+_table = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
+# the primes <= _limit, a read-only view of the front of _table once
+# primes_upto has run
+_primes = _table
 _limit: int = 31
 
 
@@ -122,6 +127,8 @@ def _grow(new_limit: int) -> None:
     # block, writing the new primes in place after the old ones; each block
     # is struck with the odd primes up to the square root of its end, which
     # the table holds once it reaches that root
+    import numpy as np
+
     global _table, _primes, _limit
     count = len(_primes)
     if len(_table) == count:  # the seed table, which has no room
@@ -153,7 +160,14 @@ def primes_upto(n: int) -> np.ndarray:
     array is a view of the shared table, which grows in place: it stays
     valid and unchanged after later growth.
     """
+    import numpy as np
+
+    global _table, _primes
     n = check_cap("prime table", int(n), MAX_OPERAND)
+    if isinstance(_primes, tuple):  # the first call: the seed becomes the table
+        _table = np.array(_primes, dtype=np.int32)
+        _primes = _table[:]
+        _primes.flags.writeable = False
     if n > _limit:
         # an eighth more than the last limit at least: a logarithmic number
         # of growths, none past n by more than 12.5 %
@@ -190,16 +204,31 @@ def is_prime(n: int) -> bool:
     return True
 
 
+# the gaps between the numbers prime to 30, from 7 (7, 11, 13, 17, 19, 23,
+# 29, 31, 37): the trial divisors after 2, 3 and 5, one turn of the wheel
+# at a time.  A composite divisor never divides what is left, as its prime
+# factors were divided out first
+_WHEEL_GAPS = (4, 2, 4, 2, 4, 6, 2, 6)
+
+
 @lru_cache(maxsize=1 << 16)
 def _factor_tuple(x: int) -> tuple:
     out = []
-    for p in primes_upto(math.isqrt(x)).tolist():
-        if p * p > x:
-            break
+    for p in (2, 3, 5):
         if x % p == 0:
             out.append(p)
             while x % p == 0:
                 x //= p
+    p = 7
+    while p * p <= x:
+        # a turn may test up to seven divisors past the square root of x:
+        # one that divides x is x itself, a prime, as no prime below it does
+        for gap in _WHEEL_GAPS:
+            if x % p == 0:
+                out.append(p)
+                while x % p == 0:
+                    x //= p
+            p += gap
     if x > 1:
         out.append(x)
     return tuple(out)
@@ -213,13 +242,21 @@ def prime_factors(x: int) -> tuple:
 def is_square_free(b: int) -> bool:
     """True when no prime square divides b; b is capped at MAX_TRIAL_OPERAND."""
     b = check_cap("b", check_least("b", int(b), 1), MAX_TRIAL_OPERAND)
-    for p in primes_upto(int(b ** (1 / 3)) + 1).tolist():
+    for p in (2, 3, 5):
         if b % p == 0:
             b //= p
             if b % p == 0:
                 return False
-    # every prime factor left in b exceeds the cube root of the operand, so
-    # b is 1, p, pq or p*p
+    p = 7
+    while p * p * p <= b:
+        for gap in _WHEEL_GAPS:
+            if b % p == 0:
+                b //= p
+                if b % p == 0:
+                    return False
+            p += gap
+    # no prime factor left in b is below p, whose cube exceeds b, so b is
+    # 1, q, qr or q*q for primes q and r
     return b == 1 or math.isqrt(b) ** 2 != b
 
 

@@ -23,8 +23,6 @@ import time
 from dataclasses import dataclass
 from itertools import combinations, product
 
-import numpy as np
-
 from .numtheory import (
     MAX_OPERAND,
     check_cap,
@@ -213,6 +211,8 @@ def _witness(zs, a, pis):
     # closure membership from the definition: every prime p of b divides z
     # or z - a.  a is a scalar, giving one flag per z of zs, or an (n, 1)
     # column, giving one row of flags per a
+    import numpy as np
+
     witness = np.ones(np.broadcast_shapes(np.shape(a), zs.shape), dtype=bool)
     for p in pis:
         witness &= (zs % p == 0) | ((zs - a) % p == 0)
@@ -220,6 +220,8 @@ def _witness(zs, a, pis):
 
 
 def _suite_closure(bounds, rng):
+    import numpy as np
+
     a_max, b_max = bounds["a_max"], bounds["b_max"]
     rec = _Recorder()
     checked = 0
@@ -265,6 +267,8 @@ def _suite_closure(bounds, rng):
 
 
 def _suite_pairA(bounds, rng):
+    import numpy as np
+
     n = bounds["max_value"]
     rec = _Recorder()
     odd_ps = [int(p) for p in primes_upto(n) if p != 2]
@@ -383,6 +387,8 @@ def _suite_order(bounds, rng):
 
 
 def _suite_classify(bounds, rng):
+    import numpy as np
+
     n = bounds["max_value"]
     rec = _Recorder()
     # residue rule by stripes: an odd prime p qualifies for {x, y} iff it
@@ -583,8 +589,9 @@ class Knob:
 
     least is the least useful value: below it a suite checks nothing, or a
     phase has no range to draw from.  most keeps the suite's slowest
-    accepted setting near 10 s (2 vCPUs, Python 3.11).  run_suite refuses a
-    value above most with check_cap's Overflow, one below least with check_least.
+    accepted setting at most about 10 s (2 vCPUs, Python 3.11).  run_suite
+    refuses a value above most with check_cap's Overflow, one below least
+    with check_least.
     """
 
     default: int

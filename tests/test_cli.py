@@ -294,6 +294,40 @@ def test_identical_argv_identical_stdout():
         assert a.stdout == b.stdout
 
 
+# the calls that only factor and test primality, and the suites that do no
+# vectorised scan
+_NUMPY_FREE_ARGV = (
+    ["closure", "7", "30"],
+    ["closure", "5", "6", "--window", "1", "40"],
+    ["gamma", "3", "--bound", "1000", "--format", "dot"],
+    ["gamma", "3", "--bound", "1000", "--format", "json"],
+    ["primes", "classify", "7"],
+    ["verify", "gamma"],
+    ["verify", "zsigmondy"],
+    ["verify", "powers"],
+)
+
+
+def test_calls_without_a_vectorised_scan_never_import_numpy(fresh_process):
+    # each argv runs in a process where importing numpy fails and in one
+    # where it does not, and prints the same stdout in both
+    body = (
+        "import hashlib, io\n"
+        "from contextlib import redirect_stdout\n"
+        "from kirchlab import cli\n"
+        f"for argv in {_NUMPY_FREE_ARGV!r}:\n"
+        "    out = io.StringIO()\n"
+        "    with redirect_stdout(out):\n"
+        "        code = cli.dispatch(argv)\n"
+        "    print(code, hashlib.sha256(out.getvalue().encode()).hexdigest())\n"
+    )
+    blocked, _ = fresh_process("import sys\nsys.modules['numpy'] = None\n" + body)
+    loaded, *free = fresh_process("import sys, kirchlab.cli\nprint('numpy' in sys.modules)\n" + body)[0]
+    assert loaded == "False"
+    assert blocked == free
+    assert blocked[::2] == ["0"] * len(_NUMPY_FREE_ARGV)
+
+
 def test_usage_errors():
     assert run_cli().returncode == 2
     assert run_cli("frobnicate").returncode == 2

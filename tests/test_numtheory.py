@@ -148,7 +148,7 @@ def test_small_operands_need_no_room_for_the_whole_table(fresh_process):
     # a fresh process under a 300 MB address-space limit, set in that
     # process alone: the table with room for every prime up to MAX_OPERAND
     # (205 MB of address space) is allocated at the first growth, not at
-    # import, and these calls read only the seed primes
+    # import, and these calls read no table
     code = (
         "import resource\n"
         "hard = resource.getrlimit(resource.RLIMIT_AS)[1]\n"
@@ -239,6 +239,14 @@ SMALL_DIVISORS_LARGE_ROOT = (999999999999999999, 614889782588491410)
 @example(4294967311)
 @example(2**32 + 1)
 @example(999_999_937)
+# the wheel's first gaps, 31**2, a prime square and a product of two primes
+# near the square root of MAX_OPERAND, and a prime square near the cube
+# root of MAX_TRIAL_OPERAND
+@example(121)
+@example(961)
+@example(31607**2)
+@example(31601 * 31607)
+@example(999983**2)
 @example(SMALL_DIVISORS_LARGE_ROOT[0])
 @example(SMALL_DIVISORS_LARGE_ROOT[1])
 # Carmichael numbers and strong pseudoprimes to the bases 2; 2, 3; 2, 3, 5;
@@ -275,21 +283,21 @@ def test_primality_and_square_freeness_of_large_products(n, factors):
 
 
 def test_only_primes_upto_grows_the_table(monkeypatch):
+    # primality, square-freeness and factoring read no table: they never
+    # call primes_upto and leave the table as they found it
     asked = []
     monkeypatch.setattr(numtheory, "primes_upto", lambda n: asked.append(n) or primes_upto(n))
-    limit = numtheory._limit
-    # the uncached is_prime, so that a cache hit cannot hide a table read
+    limit, primes = numtheory._limit, numtheory._primes
+    # the uncached is_prime and _factor_tuple, so that a cache hit cannot
+    # hide a table read
     assert is_prime.__wrapped__(999999999999999989)
     assert not is_prime.__wrapped__(SMALL_DIVISORS_LARGE_ROOT[0])
-    assert asked == [] and numtheory._limit == limit
     for b in (SMALL_DIVISORS_LARGE_ROOT + (999999937**2, 999999937 * 1000000007, 1000003**2 * 997)):
-        asked.clear()
         is_square_free(b)
-        assert asked and (max(asked) - 1) ** 3 <= b, (b, asked)
     for x in (MAX_OPERAND, 999999937, 2**29, 31622**2):
-        asked.clear()
         numtheory._factor_tuple.__wrapped__(x)
-        assert asked == [math.isqrt(x)], (x, asked)
+    assert asked == []
+    assert numtheory._limit == limit and numtheory._primes is primes
 
 
 def test_calls_near_the_trial_cap_answer_at_once(fresh_process):
